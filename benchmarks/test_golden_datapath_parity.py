@@ -7,8 +7,9 @@ the simulated clock, and the completion order must not change by a
 single TLP or nanosecond.
 
 ``benchmarks/results/golden_datapath_parity.json`` was captured from the
-pre-refactor tree with exactly the workload below; this test regenerates
-the fingerprint on every benchmark (smoke) run and asserts equality.
+pre-refactor tree with exactly the workload below, for every registered
+transfer method; this test regenerates the fingerprint on every
+benchmark (smoke) run and asserts equality.
 Regenerate deliberately (a *justified* protocol change) with::
 
     PYTHONPATH=src python benchmarks/test_golden_datapath_parity.py
@@ -19,8 +20,10 @@ from __future__ import annotations
 import json
 import pathlib
 
+from repro.datapath import registry
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode, PAGE_SIZE
+from repro.ssd.context import MODE_QUEUE_LOCAL, MODE_TAGGED
 from repro.testbed import make_block_testbed
 
 GOLDEN_PATH = (pathlib.Path(__file__).parent / "results"
@@ -28,8 +31,8 @@ GOLDEN_PATH = (pathlib.Path(__file__).parent / "results"
 
 #: Boundary-heavy payload sizes (1 B, chunk edges, page edges).
 SIZES = (1, 32, 63, 64, 65, 256, 1024, 4095, 4096)
-#: Methods the guard pins (the paper baseline and the paper contribution).
-METHODS = ("prp", "byteexpress")
+#: Methods the guard pins: every registered transfer method.
+METHODS = registry.method_names()
 #: Ops in the queue-depth>1 completion-order phase.
 BATCH_OPS = 8
 
@@ -39,27 +42,32 @@ def _payload(i: int, size: int) -> bytes:
 
 
 def _fingerprint_method(method: str) -> dict:
-    tb = make_block_testbed(include_mmio=False)
+    # Each method gets the rig it needs: the BAR byte window for the
+    # load/store comparators, a tagged controller for tag reassembly.
+    caps = registry.resolve(method).caps
+    tb = make_block_testbed(
+        include_mmio=caps.bar_window,
+        mode=MODE_TAGGED if caps.tag_reassembly else MODE_QUEUE_LOCAL)
     # Phase 1: synchronous passthrough sweep over boundary sizes.
     statuses = []
     for i, size in enumerate(SIZES):
         stats = tb.method(method).write(
             _payload(i, size), cdw10=(i * PAGE_SIZE) & 0xFFFFFFFF)
         statuses.append(stats.status)
-    # Phase 2: QD>1 batch — one doorbell, reap all — pins completion order.
+    # Phase 2: QD>1 batch — one doorbell, reap all — pins completion
+    # order.  Only methods with a host codec submit as one command
+    # sequence; the layered ones (BandSlim, BAR window, hybrid) skip it.
     qid = tb.driver.io_qids[0]
     cids = []
-    for i in range(BATCH_OPS):
-        cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1,
-                          cdw10=(i * PAGE_SIZE) & 0xFFFFFFFF)
-        if method == "byteexpress":
-            cids.append(tb.driver.submit_write_inline(
-                cmd, _payload(i, 96), qid, ring=False))
-        else:
-            cids.append(tb.driver.submit_write_prp(
-                cmd, _payload(i, 96), qid, ring=False, private_buffer=True))
-    tb.driver.kick(qid)
-    tb.ssd.controller.process_all()
+    if registry.resolve(method).host_codec is not None:
+        for i in range(BATCH_OPS):
+            cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1,
+                              cdw10=(i * PAGE_SIZE) & 0xFFFFFFFF)
+            cids.append(tb.driver.submit(
+                method, cmd, _payload(i, 96), qid, ring=False,
+                private_buffer=True, payload_id=0x1000 + i))
+        tb.driver.kick(qid)
+        tb.ssd.controller.process_all()
     completion_order = [cqe.cid for cqe in tb.driver.reap(qid)]
     counter = tb.traffic
     return {
