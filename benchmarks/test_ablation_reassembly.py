@@ -12,6 +12,7 @@ import pytest
 from conftest import report, scaled_ops
 from repro.core.reassembly import tagged_chunk_count
 from repro.core.chunking import chunk_count
+from repro.datapath import names
 from repro.metrics import format_table
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode
@@ -86,7 +87,7 @@ def test_tagged_tolerates_multi_queue_interleaving():
     for i in range(8):
         qid = tb.driver.io_qids[i % len(tb.driver.io_qids)]
         payload = bytes([0x40 + i]) * 200
-        tb.driver.submit_write_inline_tagged(
+        tb.driver.submit(names.BYTEEXPRESS_TAGGED,
             NvmeCommand(opcode=IoOpcode.WRITE, cdw10=i * 4096), payload,
             qid=qid, payload_id=100 + i)
         expected[i * 4096] = payload

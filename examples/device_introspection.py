@@ -10,6 +10,7 @@ Run:  python examples/device_introspection.py
 """
 
 from repro import make_block_testbed
+from repro.datapath import names
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode
 from repro.tools import dump_controller, dump_queue, dump_traffic
@@ -20,7 +21,7 @@ def main() -> None:
     payload = b"an inline payload riding the submission queue" * 3  # 138 B
 
     print("=== submit (not yet processed) " + "=" * 30)
-    tb.driver.submit_write_inline(
+    tb.driver.submit(names.BYTEEXPRESS,
         NvmeCommand(opcode=IoOpcode.WRITE, cdw10=0), payload, qid=1)
     print(dump_queue(tb.driver, qid=1))
 

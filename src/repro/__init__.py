@@ -6,8 +6,8 @@ Small Payloads over NVMe* (HotStorage '25): the NVMe protocol substrate
 (SQ/CQ rings, PRP, SGL, doorbells), a PCIe TLP-level traffic/latency
 model, an OpenSSD-style controller with NAND + FTL back-end, KV-SSD and
 CSD personalities, and every transfer mechanism the paper compares —
-PRP, SGL, BandSlim, the MMIO byte interface, ByteExpress, and the hybrid
-threshold policy.
+PRP, SGL, BandSlim, the MMIO byte interface, coherent-link PIO,
+ByteExpress, and the hybrid threshold policy.
 
 Quickstart::
 
@@ -43,7 +43,7 @@ from repro.testbed import (
 )
 from repro.transfer import (
     AggregateStats,
-    ByteExpressTransfer,
+    CodecTransfer,
     TransferMethod,
     TransferStats,
     make_methods,
@@ -85,7 +85,7 @@ __all__ = [
     "TransferMethod",
     "TransferStats",
     "AggregateStats",
-    "ByteExpressTransfer",
+    "CodecTransfer",
     "make_methods",
     # applications
     "KVStore",

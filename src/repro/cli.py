@@ -43,11 +43,11 @@ from repro.workloads import (
 )
 
 def _suite_methods() -> tuple:
-    """Methods the kv/pushdown testbeds can build: every registered
-    spec with a factory, minus the opt-in BAR window and
+    """Methods the kv/pushdown testbeds can build: every buildable
+    registered spec, minus the opt-in BAR window and
     tagged-reassembly variants (those need a special testbed)."""
     return tuple(spec.name for spec in datapath_registry.specs()
-                 if spec.factory is not None
+                 if spec.buildable
                  and not spec.caps.bar_window
                  and not spec.caps.tag_reassembly)
 
@@ -58,7 +58,7 @@ def _sweep_methods() -> tuple:
     needs one (``mmio``, ``pio_coherent``), so only the
     tagged-reassembly variant stays out."""
     return tuple(spec.name for spec in datapath_registry.specs()
-                 if spec.factory is not None
+                 if spec.buildable
                  and not spec.caps.tag_reassembly)
 
 

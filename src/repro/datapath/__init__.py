@@ -1,9 +1,9 @@
-"""The datapath registry package (ISSUE 5).
+"""The datapath registry package.
 
 One registration per transfer method: host codec (how the driver encodes
-SQE + payload), device decoder (how the controller moves the data),
-capability flags, and a benchmark factory.  The registry is the single
-source of truth for which methods exist — the driver, the controller,
+SQE + payload), capability flags, and, for layered methods, a benchmark
+factory.  The registry is the single source of truth for which methods
+exist — the driver, the controller,
 ``make_methods``, the async engine, the CLI and the Figure-5 sweep all
 resolve methods here instead of keeping private literal tuples.
 

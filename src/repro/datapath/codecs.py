@@ -1,11 +1,20 @@
 """Host-side transfer codecs: how the driver encodes SQE + payload.
 
 Each codec owns one wire encoding — PRP staging, SGL segments, inline
-chunk append, tagged chunks — lifted verbatim out of the old
-``NvmeDriver.submit_write_*`` monolith.  The driver's generic
+chunk append, tagged chunks.  The driver's generic
 :meth:`~repro.host.driver.NvmeDriver.submit` looks the codec up through
-the registry and delegates; the legacy ``submit_write_*`` names survive
-as thin wrappers.
+the registry and delegates; it is the only write-submission entry point.
+:meth:`InlineWriteCodec.encode` is the paper's <30-line
+``nvme_queue_rq`` patch: while holding the per-SQ lock it writes the
+command (payload length in a reserved field) and appends the payload as
+64-byte chunks into the *following* SQ entries, ringing the doorbell
+once at the end.  Holding the lock across the whole sequence is what
+guarantees the chunks land consecutively after their command (paper
+§3.3.2, host half).
+
+A codec that cannot insert its entries (the SQ is full) releases the CID
+it allocated, and any pages pinned for it, before raising: the command
+never reached the queue, so no completion will ever retire them.
 
 Codecs hold no state: they operate on the driver instance passed in, so
 one codec singleton serves every driver in the process.  The protocol
@@ -19,17 +28,30 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.chunking import CHUNK_SIZE, chunk_count, split_payload
-from repro.core.driver_ext import submit_plain
 from repro.core.inline_command import make_inline_command
-from repro.datapath import names
+from repro.core.reassembly import split_tagged
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import PAGE_SIZE
 from repro.nvme.prp import build_prps
-from repro.nvme.queues import QueueFullError
+from repro.nvme.queues import QueueFullError, SubmissionQueue
 from repro.nvme.sgl import build_sgl
+from repro.sim.clock import SimClock
+from repro.sim.config import TimingModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.host.driver import NvmeDriver
+
+
+def submit_plain(sq: SubmissionQueue, cmd: NvmeCommand, clock: SimClock,
+                 timing: TimingModel) -> int:
+    """Insert a normal (non-inline) command — the unmodified driver path.
+
+    The caller holds ``sq.lock`` and rings the doorbell afterwards.
+    Returns the slot used.
+    """
+    slot = sq.push_raw(cmd.pack())
+    clock.advance(timing.sqe_submit_ns)
+    return slot
 
 
 def _driver_error(message: str) -> Exception:
@@ -43,9 +65,6 @@ def _driver_error(message: str) -> Exception:
 
 class HostCodec:
     """One write-path encoding; stateless, shared across drivers."""
-
-    #: Registry name of the method this codec encodes (diagnostics).
-    method: str = ""
 
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
                qid: int, *, ring: bool = True, private_buffer: bool = False,
@@ -65,8 +84,6 @@ class PrpWriteCodec(HostCodec):
     overwrite each other before the device fetches them.  The buffer
     is freed automatically when the command's CID retires.
     """
-
-    method = names.PRP
 
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
                qid: int, *, ring: bool = True, private_buffer: bool = False,
@@ -90,8 +107,12 @@ class PrpWriteCodec(HostCodec):
         cmd.prp2 = mapping.prp2
         cmd.cdw12 = len(data)
         with res.sq.lock:
-            with driver.clock.span("drv.sq_submit"):
-                submit_plain(res.sq, cmd, driver.clock, driver.timing)
+            try:
+                with driver.clock.span("drv.sq_submit"):
+                    submit_plain(res.sq, cmd, driver.clock, driver.timing)
+            except QueueFullError:
+                driver._retire_cid(res, cmd.cid)
+                raise
             if ring:
                 driver._ring_sq_doorbell(res)
         return cmd.cid
@@ -99,8 +120,6 @@ class PrpWriteCodec(HostCodec):
 
 class SglWriteCodec(HostCodec):
     """SGL write path (§5 comparison): byte-granular data pointer."""
-
-    method = names.SGL
 
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
                qid: int, *, ring: bool = True, private_buffer: bool = False,
@@ -118,8 +137,12 @@ class SglWriteCodec(HostCodec):
         cmd.prp2 = int.from_bytes(desc[8:], "little")
         cmd.cdw12 = len(data)
         with res.sq.lock:
-            with driver.clock.span("drv.sq_submit"):
-                submit_plain(res.sq, cmd, driver.clock, driver.timing)
+            try:
+                with driver.clock.span("drv.sq_submit"):
+                    submit_plain(res.sq, cmd, driver.clock, driver.timing)
+            except QueueFullError:
+                driver._retire_cid(res, cmd.cid)
+                raise
             if ring:
                 driver._ring_sq_doorbell(res)
         return cmd.cid
@@ -133,8 +156,6 @@ class InlineWriteCodec(HostCodec):
     misparsed as commands, so feature detection is mandatory.
     """
 
-    method = names.BYTEEXPRESS
-
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
                qid: int, *, ring: bool = True, private_buffer: bool = False,
                payload_id: Optional[int] = None) -> int:
@@ -142,25 +163,21 @@ class InlineWriteCodec(HostCodec):
             raise _driver_error(
                 "controller firmware does not support ByteExpress "
                 "(Identify vendor capability byte is clear)")
+        n = len(data)
+        if not n:
+            raise ValueError("inline submission requires a non-empty payload")
         res = driver.queue(qid)
         cmd.cid = driver._alloc_cid(res)
-        cmd.cdw12 = len(data)
+        cmd.cdw12 = n
         clock = driver.clock
         timing = driver.timing
         sq = res.sq
         with sq.lock:
             _start = clock.now
             try:
-                # Inlined body of driver_ext.submit_with_inline_payload
-                # (the reference implementation, still exercised by its
-                # own tests): the engine path discards the SubmitRecord,
-                # so the per-op slot list and record allocation are
-                # skipped here.  Semantics and clock arithmetic are
-                # identical — same checks, same push/advance order.
-                n = len(data)
-                if not n:
-                    raise ValueError(
-                        "inline submission requires a non-empty payload")
+                # The space check comes first: a torn sequence would
+                # violate the protocol, so nothing is inserted unless the
+                # command and every chunk fit.
                 if n <= CHUNK_SIZE:
                     # Dominant case: one command + one chunk.
                     if (sq.head - sq.tail - 1) % sq.depth < 2:
@@ -182,12 +199,20 @@ class InlineWriteCodec(HostCodec):
                     make_inline_command(cmd, n)
                     sq.push_raw(cmd.pack())
                     clock.advance(timing.sqe_submit_ns)
+                    # Chunks land per slot (the monitor's ``push_raw``
+                    # wrapper sees every one); their CPU cost is charged
+                    # in one repeated advance — ``push_raw`` never reads
+                    # the clock, so the arithmetic is bit-identical to
+                    # advancing after each insert.
                     chunks = split_payload(data)
                     push = sq.push_raw
                     for chunk in chunks:
                         push(chunk)
                     clock.advance_repeat(timing.chunk_submit_ns,
                                          len(chunks))
+            except QueueFullError:
+                driver._retire_cid(res, cmd.cid)
+                raise
             finally:
                 clock.span_end("drv.sq_submit", _start)
             if ring:
@@ -199,14 +224,9 @@ class TaggedInlineWriteCodec(HostCodec):
     """ByteExpress tagged mode (§3.3.2 future work): self-describing
     chunks that the controller may fetch interleaved across queues."""
 
-    method = names.BYTEEXPRESS_TAGGED
-
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
                qid: int, *, ring: bool = True, private_buffer: bool = False,
                payload_id: Optional[int] = None) -> int:
-        from repro.core.inline_command import make_inline_command
-        from repro.core.reassembly import split_tagged
-
         if payload_id is None:
             raise _driver_error("tagged inline submission needs a payload_id")
         if not data:
@@ -215,14 +235,15 @@ class TaggedInlineWriteCodec(HostCodec):
             raise _driver_error(
                 "controller firmware does not support ByteExpress")
         res = driver.queue(qid)
-        cmd.cid = driver._alloc_cid(res)
         cmd.cdw12 = len(data)
         cmd.cdw3 = payload_id
         make_inline_command(cmd, len(data))
         chunks = split_tagged(data, payload_id)
+        cmd.cid = driver._alloc_cid(res)
         with res.sq.lock:
             with driver.clock.span("drv.sq_submit"):
                 if res.sq.space() < 1 + len(chunks):
+                    driver._retire_cid(res, cmd.cid)
                     raise _driver_error(
                         f"SQ{qid} cannot hold tagged submission")
                 res.sq.push_raw(cmd.pack())

@@ -8,18 +8,22 @@ the benchmarks:
 * a **host codec** — how the driver encodes the SQE and moves the
   payload (PRP staging, SGL segments, inline chunk append, tagged
   chunks).  Primitive write paths have one; layered methods (BandSlim,
-  MMIO, hybrid) orchestrate primitives and leave it ``None``;
-* a **device decoder** — how the controller pulls the payload (and, for
-  PRP/SGL, pushes read data back).  ``None`` for methods whose device
-  half lives in a personality layer (BandSlim reassembly, the MMIO BAR
-  window);
+  the BAR window, hybrid) orchestrate primitives and leave it ``None``;
 * **capability flags** (:class:`DatapathCaps`) — what the rest of the
   stack may ask of the method (reads, inline transport, tag reassembly,
   async-engine support, batched submission, Figure-5 membership);
 * a **factory** — builds the :class:`~repro.transfer.base.TransferMethod`
-  benchmark object for :func:`repro.transfer.make_methods`.
+  benchmark object for :func:`repro.transfer.make_methods`.  Only
+  layered methods (and the tagged variant, which hands out payload ids)
+  need one: a spec with just a host codec is wrapped in the generic
+  :class:`~repro.transfer.codec_transfer.CodecTransfer`.
 
-Specs are plain data; behaviour lives in the codec/decoder objects they
+The device half is not part of the spec: the controller picks the PRP or
+SGL decoder from the command's PSDT field
+(:func:`~repro.datapath.decoders.decoder_for_psdt`) and recognises inline
+payloads by their command marker.
+
+Specs are plain data; behaviour lives in the codec and factory they
 reference.  The registry (:mod:`repro.datapath.registry`) is the single
 source of truth for which methods exist.
 """
@@ -35,7 +39,6 @@ from repro.nvme.constants import BANDSLIM_FRAGMENT_CAPACITY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datapath.codecs import HostCodec
-    from repro.datapath.decoders import DeviceDecoder
 
 
 @dataclass(frozen=True)
@@ -91,12 +94,15 @@ class DatapathSpec:
     caps: DatapathCaps = field(default_factory=DatapathCaps)
     #: Driver-side encoder; ``None`` for layered/orchestrated methods.
     host_codec: Optional["HostCodec"] = None
-    #: Controller-side payload decoder; ``None`` when the device half is
-    #: a personality layer rather than a wire decoder.
-    device_decoder: Optional["DeviceDecoder"] = None
     factory: Optional[MethodFactory] = None
     #: One-line description for ``repro info`` style listings.
     summary: str = ""
+
+    @property
+    def buildable(self) -> bool:
+        """``make_methods`` can build this method: it has a factory, or a
+        host codec the generic adapter drives."""
+        return self.factory is not None or self.host_codec is not None
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -2,8 +2,8 @@
 
 Owns the queue pairs, the per-queue submission locks, PRP/SGL construction,
 doorbell writes and completion handling — the pieces of the Linux driver
-the paper touches.  The ByteExpress change is confined to
-:func:`repro.core.driver_ext.submit_with_inline_payload`, mirroring the
+the paper touches.  The ByteExpress change is confined to the inline
+codec (:class:`repro.datapath.codecs.InlineWriteCodec`), mirroring the
 paper's <30-line ``nvme_queue_rq`` patch; everything else here is the
 stock driver behaviour.
 
@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.driver_ext import submit_plain
 from repro.datapath import names as dp_names
 from repro.durability.domains import DEVICE_VOLATILE, HOST_VOLATILE
 from repro.datapath import registry as datapath_registry
+from repro.datapath.codecs import submit_plain
 from repro.datapath.spec import DatapathSpec
 from repro.faults.plan import DROP_DOORBELL
 from repro.host.breaker import CircuitBreaker
@@ -53,7 +53,6 @@ from repro.nvme.constants import (
 )
 from repro.nvme.identify import IDENTIFY_SIZE, IdentifyController
 from repro.nvme.passthrough import PassthruRequest, PassthruResult
-from repro.nvme.prp import build_prps
 from repro.nvme.queues import CompletionQueue, SubmissionQueue
 from repro.nvme.registers import (
     CC_ENABLE,
@@ -577,10 +576,10 @@ class NvmeDriver:
     def submit(self, method, cmd: NvmeCommand, data: bytes, qid: int,
                ring: bool = True, private_buffer: bool = False,
                payload_id: Optional[int] = None) -> int:
-        """Generic write submission: encode *data* with *method*'s host
-        codec (ISSUE 5 tentpole).
+        """Write submission: encode *data* with *method*'s host codec.
 
-        *method* is a registry name (``"prp"``, ``"sgl"``, ...) or a
+        The only write-submission entry point.  *method* is a registry
+        name (``"prp"``, ``"sgl"``, ...) or a
         :class:`~repro.datapath.spec.DatapathSpec`.  The codec owns the
         whole encode — staging, data-pointer construction, SQE (and chunk)
         insertion under the SQ lock, the optional doorbell — so every
@@ -597,44 +596,6 @@ class NvmeDriver:
         return codec.encode(self, cmd, data, qid, ring=ring,
                             private_buffer=private_buffer,
                             payload_id=payload_id)
-
-    def submit_write_prp(self, cmd: NvmeCommand, data: bytes,
-                         qid: int, ring: bool = True,
-                         private_buffer: bool = False) -> int:
-        """Stock write path (thin wrapper over the generic :meth:`submit`
-        with the PRP codec): stage data, build PRPs, insert SQE, doorbell.
-
-        *private_buffer* allocates a dedicated DMA buffer for this command
-        instead of reusing the queue's scratch area.  Mandatory at QD>1:
-        concurrent in-flight writes staged into the shared scratch would
-        overwrite each other before the device fetches them.  The buffer
-        is freed automatically when the command's CID retires.
-        """
-        return self.submit(dp_names.PRP, cmd, data, qid, ring=ring,
-                           private_buffer=private_buffer)
-
-    def submit_write_sgl(self, cmd: NvmeCommand, data: bytes,
-                         qid: int, ring: bool = True) -> int:
-        """SGL write path (§5 comparison): byte-granular data pointer."""
-        return self.submit(dp_names.SGL, cmd, data, qid, ring=ring)
-
-    def submit_write_inline(self, cmd: NvmeCommand, data: bytes,
-                            qid: int, ring: bool = True) -> int:
-        """ByteExpress path: command + payload chunks under one SQ lock.
-
-        Refused when the controller's Identify page does not advertise
-        ByteExpress support — on stock firmware the chunks would be
-        misparsed as commands, so feature detection is mandatory.
-        """
-        return self.submit(dp_names.BYTEEXPRESS, cmd, data, qid, ring=ring)
-
-    def submit_write_inline_tagged(self, cmd: NvmeCommand, data: bytes,
-                                   qid: int, payload_id: int,
-                                   ring: bool = True) -> int:
-        """ByteExpress tagged mode (§3.3.2 future work): self-describing
-        chunks that the controller may fetch interleaved across queues."""
-        return self.submit(dp_names.BYTEEXPRESS_TAGGED, cmd, data, qid,
-                           ring=ring, payload_id=payload_id)
 
     def submit_raw(self, cmd: NvmeCommand, qid: int,
                    ring: bool = True, expect_completion: bool = True) -> int:
@@ -733,33 +694,18 @@ class NvmeDriver:
 
         start_ns = self.clock.now
         start_bytes = self.link.counter.total_bytes
-        temp_pages: List[int] = []
         for payload, cdw10 in zip(payloads, cdw10s):
             cmd = NvmeCommand(opcode=opcode, nsid=DEFAULT_NSID, cdw10=cdw10)
-            if spec.caps.inline:
-                self.submit(spec, cmd, payload, qid, ring=False)
-                continue
-            # PRP: every in-flight op needs a private DMA buffer.
-            pages = self.memory.alloc_pages(
-                max(1, (len(payload) + PAGE_SIZE - 1) // PAGE_SIZE))
-            temp_pages.extend(pages)
-            self.memory.write(pages[0], payload)
-            mapping = build_prps(self.memory, pages[0], len(payload))
-            cmd.cid = self._alloc_cid(res)
-            res.pending_pages.setdefault(cmd.cid, []).extend(mapping.list_pages)
-            cmd.prp1, cmd.prp2 = mapping.prp1, mapping.prp2
-            cmd.cdw12 = len(payload)
-            with self.clock.span("drv.sq_submit"):
-                with res.sq.lock:
-                    submit_plain(res.sq, cmd, self.clock, self.timing)
+            # Every in-flight op needs a private DMA buffer (PRP); the
+            # inline codec ignores the flag.
+            self.submit(spec, cmd, payload, qid, ring=False,
+                        private_buffer=True)
         with res.sq.lock:
             self._ring_sq_doorbell(res)
 
         statuses = []
         for _ in payloads:
             statuses.append(self._wait_on(res).status)
-        for page in temp_pages:
-            self.memory.free_page(page)
         return BatchResult(ops=len(payloads),
                            elapsed_ns=self.clock.now - start_ns,
                            pcie_bytes=(self.link.counter.total_bytes

@@ -2,7 +2,6 @@
 
 from repro.metrics.ascii_plot import ascii_chart
 from repro.metrics.energy import EnergyModel, EnergyReport, measure_energy
-from repro.metrics.pipeline import PipelineEstimate, estimate_pipeline
 from repro.metrics.reporting import (
     format_bytes,
     format_latency_summary,
@@ -32,7 +31,5 @@ __all__ = [
     "EnergyModel",
     "EnergyReport",
     "measure_energy",
-    "PipelineEstimate",
-    "estimate_pipeline",
     "ascii_chart",
 ]

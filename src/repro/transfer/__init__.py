@@ -20,33 +20,43 @@ from repro.transfer.bandslim import (
     pack_fragment,
     unpack_fragment,
 )
+from repro.transfer.bar_window import (
+    MMIO_WINDOW,
+    PIO_WINDOW,
+    BarWindowDevice,
+    BarWindowPath,
+    BarWindowTransfer,
+)
 from repro.transfer.base import AggregateStats, TransferMethod, TransferStats
-from repro.transfer.byteexpress import ByteExpressTransfer, TaggedByteExpressTransfer
+from repro.transfer.byteexpress import TaggedByteExpressTransfer
+from repro.transfer.codec_transfer import CodecTransfer
 from repro.transfer.hybrid_transfer import HybridTransfer
-from repro.transfer.mmio_transfer import MmioByteInterface, MmioTransfer
-from repro.transfer.pio_transfer import PioCoherentInterface, PioCoherentTransfer
-from repro.transfer.prp_transfer import PrpTransfer, SglTransfer
 
 
 def make_methods(ssd: OpenSsd, driver: NvmeDriver,
                  include_mmio: bool = True) -> Dict[str, TransferMethod]:
     """Build the standard method suite bound to one device/driver pair.
 
-    Every registry spec with a factory contributes, gated by its caps:
-    ``bar_window`` methods only when *include_mmio* (the BAR byte window
-    is an opt-in testbed feature), ``tag_reassembly`` methods only when
-    the device controller actually runs in tagged mode (a queue-local
-    controller would misparse self-describing chunks).
+    Every buildable registry spec contributes: its factory builds it, or,
+    for a spec with only a host codec, the generic :class:`CodecTransfer`.
+    Caps gate the roster: ``bar_window`` methods only when *include_mmio*
+    (the BAR byte window is an opt-in testbed feature),
+    ``tag_reassembly`` methods only when the device controller actually
+    runs in tagged mode (a queue-local controller would misparse
+    self-describing chunks).
     """
     methods: Dict[str, TransferMethod] = {}
     for spec in datapath_registry.specs():
-        if spec.factory is None:
+        if not spec.buildable:
             continue
         if spec.caps.bar_window and not include_mmio:
             continue
         if spec.caps.tag_reassembly and ssd.controller.mode != MODE_TAGGED:
             continue
-        methods[spec.name] = spec.factory(ssd, driver, methods)
+        if spec.factory is None:
+            methods[spec.name] = CodecTransfer(driver, spec.name)
+        else:
+            methods[spec.name] = spec.factory(ssd, driver, methods)
     return methods
 
 
@@ -54,19 +64,18 @@ __all__ = [
     "TransferMethod",
     "TransferStats",
     "AggregateStats",
-    "PrpTransfer",
-    "SglTransfer",
-    "ByteExpressTransfer",
+    "CodecTransfer",
     "TaggedByteExpressTransfer",
     "BandSlimTransfer",
     "BandSlimDeviceLayer",
     "pack_fragment",
     "unpack_fragment",
     "FragmentView",
-    "MmioTransfer",
-    "MmioByteInterface",
-    "PioCoherentTransfer",
-    "PioCoherentInterface",
+    "BarWindowPath",
+    "BarWindowTransfer",
+    "BarWindowDevice",
+    "MMIO_WINDOW",
+    "PIO_WINDOW",
     "HybridTransfer",
     "make_methods",
 ]

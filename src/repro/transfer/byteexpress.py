@@ -1,9 +1,10 @@
-"""ByteExpress transfer (the paper's contribution, Figure 3(d)).
+"""ByteExpress tagged transfer (§3.3.2 future work).
 
-The payload rides the submission queue itself: command first, then 64-byte
-chunks, one doorbell, one completion.  The queue-local variant is the
-paper's implemented design; the tagged variant is its §3.3.2 future-work
-relaxation (self-describing chunks, out-of-order reassembly across SQs).
+The queue-local design the paper implements needs nothing beyond the
+generic codec adapter (:mod:`repro.transfer.codec_transfer`).  The tagged
+relaxation does: each write carries a payload id that the self-describing
+chunks quote, so the controller can reassemble chunks fetched out of
+order across SQs.  This method hands out those ids.
 """
 
 from __future__ import annotations
@@ -13,27 +14,9 @@ from typing import Optional
 
 from repro.datapath import names as dp_names
 from repro.host.driver import NvmeDriver
+from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode
-from repro.nvme.passthrough import PassthruRequest
 from repro.transfer.base import TransferMethod, TransferStats
-
-
-class ByteExpressTransfer(TransferMethod):
-    name = dp_names.BYTEEXPRESS
-
-    def __init__(self, driver: NvmeDriver) -> None:
-        self.driver = driver
-
-    def write(self, payload: bytes, opcode: int = IoOpcode.WRITE,
-              cdw10: int = 0, cdw11: int = 0, nsid: int = 1,
-              qid: Optional[int] = None) -> TransferStats:
-        req = PassthruRequest(opcode=opcode, nsid=nsid, data=payload,
-                              cdw10=cdw10, cdw11=cdw11)
-        result = self.driver.passthru(req, method=dp_names.BYTEEXPRESS, qid=qid)
-        return TransferStats(method=self.name, payload_len=len(payload),
-                             latency_ns=result.latency_ns,
-                             pcie_bytes=result.pcie_bytes,
-                             commands=1, status=result.status)
 
 
 class TaggedByteExpressTransfer(TransferMethod):
@@ -50,8 +33,6 @@ class TaggedByteExpressTransfer(TransferMethod):
     def write(self, payload: bytes, opcode: int = IoOpcode.WRITE,
               cdw10: int = 0, cdw11: int = 0, nsid: int = 1,
               qid: Optional[int] = None) -> TransferStats:
-        from repro.nvme.command import NvmeCommand
-
         qid = qid if qid is not None else self.driver.io_qids[0]
         clock = self.driver.clock
         counter = self.driver.link.counter
@@ -60,7 +41,8 @@ class TaggedByteExpressTransfer(TransferMethod):
 
         cmd = NvmeCommand(opcode=opcode, nsid=nsid, cdw10=cdw10, cdw11=cdw11)
         payload_id = next(self._ids) & 0xFFFFFFFF
-        self.driver.submit_write_inline_tagged(cmd, payload, qid, payload_id)
+        self.driver.submit(self.name, cmd, payload, qid,
+                           payload_id=payload_id)
         cqe = self.driver.wait(qid)
         return TransferStats(method=self.name, payload_len=len(payload),
                              latency_ns=clock.now - start_ns,

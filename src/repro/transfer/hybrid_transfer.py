@@ -14,14 +14,12 @@ from repro.datapath import names as dp_names
 from repro.core.hybrid import METHOD_BYTEEXPRESS, HybridPolicy
 from repro.nvme.constants import IoOpcode
 from repro.transfer.base import TransferMethod, TransferStats
-from repro.transfer.byteexpress import ByteExpressTransfer
-from repro.transfer.prp_transfer import PrpTransfer
 
 
 class HybridTransfer(TransferMethod):
     name = dp_names.HYBRID
 
-    def __init__(self, byteexpress: ByteExpressTransfer, prp: PrpTransfer,
+    def __init__(self, byteexpress: TransferMethod, prp: TransferMethod,
                  policy: Optional[HybridPolicy] = None) -> None:
         self.byteexpress = byteexpress
         self.prp = prp

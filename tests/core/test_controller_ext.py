@@ -8,8 +8,8 @@ from repro.core.controller_ext import (
     InlineFetchError,
     fetch_inline_payload,
 )
-from repro.core.driver_ext import submit_with_inline_payload
-from repro.core.inline_command import inspect_command
+from repro.core.chunking import split_payload
+from repro.core.inline_command import inspect_command, make_inline_command
 from repro.host.memory import HostMemory
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import SQE_SIZE
@@ -22,14 +22,21 @@ from repro.sim.config import LinkConfig, TimingModel
 TIMING = TimingModel()
 
 
+def _push_inline(sq, payload):
+    """Host half: the inline command, then its chunks in the next slots."""
+    cmd = make_inline_command(NvmeCommand(opcode=1), len(payload))
+    sq.push_raw(cmd.pack())
+    for chunk in split_payload(payload):
+        sq.push_raw(chunk)
+
+
 def _submit(payload, depth=64):
     mem = HostMemory()
     sq = SubmissionQueue(qid=1, depth=depth, memory=mem)
     clock = SimClock()
     link = PCIeLink(LinkConfig(), TIMING, TrafficCounter())
     with sq.lock:
-        submit_with_inline_payload(sq, NvmeCommand(opcode=1), payload,
-                                   clock, TIMING)
+        _push_inline(sq, payload)
         sq.ring_doorbell()
     state = DeviceSqState(qid=1, base_addr=sq.base_addr, depth=sq.depth)
     raw = mem.read(state.slot_addr(0), SQE_SIZE)
@@ -99,8 +106,7 @@ def test_wraparound_chunk_fetch():
     sq.note_sq_head(6)
     payload = bytes(range(128))
     with sq.lock:
-        submit_with_inline_payload(sq, NvmeCommand(opcode=1), payload,
-                                   clock, TIMING)
+        _push_inline(sq, payload)
         sq.ring_doorbell()
     state = DeviceSqState(qid=1, base_addr=sq.base_addr, depth=8, head=6)
     cmd = NvmeCommand.unpack(mem.read(state.slot_addr(6), SQE_SIZE))

@@ -1,12 +1,11 @@
-"""Datapath parity: generic ``submit()`` vs the legacy entry points.
+"""Datapath parity: every registered method through one entry point.
 
-ISSUE 5 satellite: every registered method must round-trip payloads at
-the boundary sizes (1 B … 4 KiB) through the codec-driven generic
-``driver.submit()``; the read paths must work via the device decoders;
-and the wrapped legacy entry points (``submit_write_prp`` & friends)
-must produce *identical* wire traffic to the generic path — they are
-thin wrappers, and any divergence means the codec move changed the
-protocol.
+Every registered method must round-trip payloads at the boundary sizes
+(1 B … 4 KiB): codec methods through the generic ``driver.submit()``,
+the rest through their transfer orchestration layer; and the read paths
+must work via the device decoders.  Byte-for-byte wire equality with
+the pre-refactor tree is pinned by the golden fingerprint benchmark
+(``benchmarks/test_golden_datapath_parity.py``).
 """
 
 import pytest
@@ -133,57 +132,3 @@ def test_read_back_through_sgl_decoder():
     _, buf = tb.driver.submit_read_sgl(cmd, want=64, total=PAGE_SIZE, qid=1)
     assert tb.driver.wait(1).ok
     assert tb.driver.memory.read(buf, 64) == payload[:64]
-
-
-# ------------------------------------------- legacy wrapper parity
-
-
-def _run_legacy(method: str, tb):
-    drv = tb.driver
-    for i, size in enumerate(BOUNDARY_SIZES):
-        payload = _payload(i, size)
-        cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1,
-                          cdw10=(i * 2 * PAGE_SIZE) & 0xFFFFFFFF)
-        if method == names.PRP:
-            drv.submit_write_prp(cmd, payload, qid=1)
-        elif method == names.SGL:
-            drv.submit_write_sgl(cmd, payload, qid=1)
-        elif method == names.BYTEEXPRESS:
-            drv.submit_write_inline(cmd, payload, qid=1)
-        else:
-            drv.submit_write_inline_tagged(cmd, payload, qid=1, payload_id=i)
-        assert drv.wait(1).ok
-
-
-def _run_generic(method: str, tb):
-    spec = registry.resolve(method)
-    for i, size in enumerate(BOUNDARY_SIZES):
-        payload = _payload(i, size)
-        cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1,
-                          cdw10=(i * 2 * PAGE_SIZE) & 0xFFFFFFFF)
-        kwargs = {"payload_id": i} if spec.caps.tag_reassembly else {}
-        tb.driver.submit(method, cmd, payload, qid=1, **kwargs)
-        assert tb.driver.wait(1).ok
-
-
-def _fingerprint(tb):
-    counter = tb.traffic
-    return {
-        "clock_ns": round(tb.clock.now, 6),
-        "total_bytes": counter.total_bytes,
-        "tlp_breakdown": counter.tlp_breakdown(),
-        "byte_breakdown": counter.breakdown(),
-    }
-
-
-@pytest.mark.parametrize("method", CODEC_METHODS)
-def test_legacy_wrappers_produce_identical_wire_traffic(method):
-    tb_legacy = _testbed_for(method)
-    tb_generic = _testbed_for(method)
-    _run_legacy(method, tb_legacy)
-    _run_generic(method, tb_generic)
-    assert _fingerprint(tb_legacy) == _fingerprint(tb_generic)
-    for i, size in enumerate(BOUNDARY_SIZES):
-        offset = i * 2 * PAGE_SIZE
-        assert (tb_legacy.personality.read_back(offset, size)
-                == tb_generic.personality.read_back(offset, size))

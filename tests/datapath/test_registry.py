@@ -72,13 +72,15 @@ def test_new_method_appears_everywhere():
     """Acceptance: registering a method in one place surfaces it in
     make_methods, the CLI method choices, and the Figure-5 sweep set."""
     from repro.cli import _suite_methods
+    from repro.datapath.codecs import PRP_WRITE_CODEC
     from repro.testbed import make_block_testbed
-    from repro.transfer.prp_transfer import PrpTransfer
 
+    # A host codec alone is enough: make_methods wraps it in the generic
+    # adapter, no factory needed.
     spec = DatapathSpec(
         name="test-datapath",
         caps=DatapathCaps(figure5=True),
-        factory=lambda ssd, driver, built: PrpTransfer(driver),
+        host_codec=PRP_WRITE_CODEC,
         summary="toy method for the registry test")
     registry.register(spec)
     try:

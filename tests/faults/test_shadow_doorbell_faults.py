@@ -9,6 +9,7 @@ garbage shadow values must be rejected exactly like malformed BAR
 doorbells: the fetch path may never chase an unpublished tail.
 """
 
+from repro.datapath import names
 from repro.engine import LoadGenerator, StreamSpec
 from repro.faults import DROP_DOORBELL, FaultPlan
 from repro.nvme.command import NvmeCommand
@@ -152,8 +153,8 @@ def test_burst_fetch_never_reads_past_torn_shadow_tail():
     # stage two inline writes (4 SQEs) but never publish them
     for i in range(2):
         cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=i * 4096)
-        tb.driver.submit_write_inline(cmd, bytes([i + 1]) * 64, 1,
-                                      ring=False)
+        tb.driver.submit(names.BYTEEXPRESS, cmd, bytes([i + 1]) * 64, 1,
+                         ring=False)
     before = ctrl.commands_processed
     tb.driver.shadow.write_sq_tail(1, 77777)  # torn: out of range
     assert ctrl.process_all() == 0

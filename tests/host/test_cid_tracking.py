@@ -8,10 +8,14 @@ than silently aliasing.
 
 import pytest
 
+from repro.datapath import names
+from repro.datapath import registry as datapath_registry
 from repro.host.driver import DriverError
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode
+from repro.nvme.queues import QueueFullError
 from repro.sim.config import SimConfig
+from repro.ssd.context import MODE_QUEUE_LOCAL, MODE_TAGGED
 from repro.testbed import make_block_testbed
 
 
@@ -22,8 +26,8 @@ def tb():
 
 def _submit(tb, qid, ring=False, offset=0):
     cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=offset)
-    return tb.driver.submit_write_prp(cmd, b"\xcd" * 64, qid, ring=ring,
-                                      private_buffer=True)
+    return tb.driver.submit(names.PRP, cmd, b"\xcd" * 64, qid, ring=ring,
+                            private_buffer=True)
 
 
 def test_outstanding_cids_are_distinct_and_tracked(tb):
@@ -98,3 +102,32 @@ def test_per_queue_cid_spaces_are_independent(tb):
     tb.driver.retire(1, a)
     assert tb.driver.inflight(2) == 1
     tb.driver.retire(2, b)
+
+
+@pytest.mark.parametrize("method", [names.PRP, names.SGL, names.BYTEEXPRESS,
+                                    names.BYTEEXPRESS_TAGGED])
+def test_full_sq_releases_the_cid_and_its_pages(method):
+    """A submit the full SQ refuses never reached the device, so no CQE
+    will retire its CID: the codec must release the CID, and any pages
+    pinned for it, before raising."""
+    tagged = datapath_registry.resolve(method).caps.tag_reassembly
+    tb = make_block_testbed(config=SimConfig(sq_depth=8).nand_off(),
+                            mode=MODE_TAGGED if tagged else MODE_QUEUE_LOCAL,
+                            include_mmio=False)
+    drv, res = tb.driver, tb.driver.queue(1)
+    queued = 0
+    with pytest.raises((QueueFullError, DriverError)):
+        for i in range(8):
+            cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=i * 4096)
+            drv.submit(method, cmd, b"\xcd" * 64, 1, ring=False,
+                       private_buffer=True, payload_id=i + 1)
+            queued += 1
+    assert queued > 0
+    assert drv.inflight(1) == queued
+    assert set(res.pending_pages) <= res.live_cids
+    # Draining the queued commands frees every page they pinned.
+    drv.kick(1)
+    tb.ssd.controller.process_all()
+    assert len(drv.reap(1)) == queued
+    assert drv.inflight(1) == 0
+    assert res.pending_pages == {}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datapath import names
 from repro.host.driver import DriverError
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode
@@ -25,7 +26,7 @@ def test_unknown_queue_rejected(tb):
 
 def test_prp_write_roundtrip(tb, payload64):
     cmd = NvmeCommand(opcode=IoOpcode.WRITE)
-    tb.driver.submit_write_prp(cmd, payload64, qid=1)
+    tb.driver.submit(names.PRP, cmd, payload64, qid=1)
     cqe = tb.driver.wait(1)
     assert cqe.ok
     assert tb.personality.read_back(0, 64) == payload64
@@ -33,12 +34,12 @@ def test_prp_write_roundtrip(tb, payload64):
 
 def test_prp_write_needs_payload(tb):
     with pytest.raises(DriverError):
-        tb.driver.submit_write_prp(NvmeCommand(opcode=IoOpcode.WRITE), b"", qid=1)
+        tb.driver.submit(names.PRP, NvmeCommand(opcode=IoOpcode.WRITE), b"", qid=1)
 
 
 def test_inline_write_roundtrip(tb, payload100):
     cmd = NvmeCommand(opcode=IoOpcode.WRITE)
-    tb.driver.submit_write_inline(cmd, payload100, qid=1)
+    tb.driver.submit(names.BYTEEXPRESS, cmd, payload100, qid=1)
     cqe = tb.driver.wait(1)
     assert cqe.ok
     assert tb.personality.read_back(0, 100) == payload100
@@ -61,15 +62,15 @@ def test_wait_without_submission_raises(tb):
 
 def test_completion_updates_sq_head(tb, payload64):
     sq = tb.driver.queue(1).sq
-    tb.driver.submit_write_prp(NvmeCommand(opcode=IoOpcode.WRITE), payload64, qid=1)
+    tb.driver.submit(names.PRP, NvmeCommand(opcode=IoOpcode.WRITE), payload64, qid=1)
     tb.driver.wait(1)
     assert sq.head == sq.tail  # everything consumed
 
 
 def test_oversized_payload_rejected(tb):
     with pytest.raises(DriverError):
-        tb.driver.submit_write_prp(NvmeCommand(opcode=IoOpcode.WRITE),
-                                   b"x" * (128 * 1024), qid=1)
+        tb.driver.submit(names.PRP, NvmeCommand(opcode=IoOpcode.WRITE),
+                         b"x" * (128 * 1024), qid=1)
 
 
 def test_passthru_write_and_read_roundtrip(tb, payload64):
@@ -99,10 +100,10 @@ def test_passthru_methods_agree_functionally(tb):
 
 
 def test_queues_are_independent(tb, payload64):
-    tb.driver.submit_write_prp(NvmeCommand(opcode=IoOpcode.WRITE),
-                               payload64, qid=1)
-    tb.driver.submit_write_prp(NvmeCommand(opcode=IoOpcode.WRITE),
-                               payload64, qid=2)
+    tb.driver.submit(names.PRP, NvmeCommand(opcode=IoOpcode.WRITE),
+                     payload64, qid=1)
+    tb.driver.submit(names.PRP, NvmeCommand(opcode=IoOpcode.WRITE),
+                     payload64, qid=2)
     assert tb.driver.wait(1).ok
     assert tb.driver.wait(2).ok
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datapath import names
 from repro.host.driver import BatchResult
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode, StatusCode
@@ -21,7 +22,7 @@ def test_batch_result_ok_flags_failures():
 def test_wait_handles_back_to_back_completions():
     tb = make_block_testbed()
     for i in range(3):
-        tb.driver.submit_write_inline(
+        tb.driver.submit(names.BYTEEXPRESS,
             NvmeCommand(opcode=IoOpcode.WRITE, cdw10=i * 4096),
             bytes([i]) * 64, qid=1)
     # One process_all happens inside the first wait; the other two
@@ -61,5 +62,5 @@ def test_deep_inline_payload_respects_queue_capacity():
     cfg = SimConfig(sq_depth=8).nand_off()
     tb = make_block_testbed(config=cfg)
     with pytest.raises(QueueFullError):
-        tb.driver.submit_write_inline(NvmeCommand(opcode=IoOpcode.WRITE),
-                                      b"x" * (64 * 10), qid=1)
+        tb.driver.submit(names.BYTEEXPRESS, NvmeCommand(opcode=IoOpcode.WRITE),
+                         b"x" * (64 * 10), qid=1)

@@ -3,6 +3,7 @@ clean NVMe status, never corrupt unrelated state, and never wedge a queue."""
 
 import pytest
 
+from repro.datapath import names
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode, StatusCode
 from repro.nvme.passthrough import PassthruRequest
@@ -17,8 +18,8 @@ def test_sq_backpressure_on_inline_flood():
     cfg = SimConfig(sq_depth=16).nand_off()
     tb = make_block_testbed(config=cfg)
     with pytest.raises(QueueFullError):
-        tb.driver.submit_write_inline(NvmeCommand(opcode=IoOpcode.WRITE),
-                                      b"x" * (64 * 20), qid=1)
+        tb.driver.submit(names.BYTEEXPRESS, NvmeCommand(opcode=IoOpcode.WRITE),
+                         b"x" * (64 * 20), qid=1)
     # Queue still works afterwards.
     stats = tb.method("byteexpress").write(b"ok" * 10)
     assert stats.ok

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datapath import names
 from repro.kvssd.commands import make_retrieve_command
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode
@@ -66,8 +67,8 @@ class TestDescribeCommand:
 class TestDumps:
     def test_dump_queue_shows_pending(self):
         tb = make_block_testbed()
-        tb.driver.submit_write_inline(NvmeCommand(opcode=IoOpcode.WRITE),
-                                      b"q" * 100, qid=1)
+        tb.driver.submit(names.BYTEEXPRESS, NvmeCommand(opcode=IoOpcode.WRITE),
+                         b"q" * 100, qid=1)
         out = dump_queue(tb.driver, 1)
         assert "SQ1:" in out
         assert "ByteExpress payload of 100 B" in out
@@ -101,8 +102,8 @@ def test_feature_detection_blocks_inline_on_stock_firmware():
     driver = NvmeDriver(ssd)
     assert not driver.identify.byteexpress
     with pytest.raises(DriverError):
-        driver.submit_write_inline(NvmeCommand(opcode=IoOpcode.WRITE),
-                                   b"x" * 64, qid=1)
+        driver.submit(names.BYTEEXPRESS, NvmeCommand(opcode=IoOpcode.WRITE),
+                      b"x" * 64, qid=1)
     # PRP still works — graceful degradation.
     from repro.nvme.passthrough import PassthruRequest
     assert driver.passthru(PassthruRequest(opcode=IoOpcode.WRITE,

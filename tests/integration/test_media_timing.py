@@ -2,6 +2,7 @@
 round-robin fairness across queues."""
 
 
+from repro.datapath import names
 from repro.kvssd import KVStore
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode
@@ -37,7 +38,7 @@ def test_round_robin_serves_queues_fairly():
     per_queue = 3
     for i in range(per_queue):
         for qid in qids:
-            tb.driver.submit_write_inline(
+            tb.driver.submit(names.BYTEEXPRESS,
                 NvmeCommand(opcode=IoOpcode.WRITE, cdw10=0),
                 bytes([qid]) * 64, qid=qid)
     order = []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datapath import names
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode, SQE_SIZE
 from repro.nvme.queues import LockNotHeldError
@@ -15,8 +16,8 @@ def test_cmd_and_chunks_consecutive_in_sq():
     tb = make_block_testbed()
     res = tb.driver.queue(1)
     payload = bytes(range(200))
-    tb.driver.submit_write_inline(NvmeCommand(opcode=IoOpcode.WRITE),
-                                  payload, qid=1, ring=False)
+    tb.driver.submit(names.BYTEEXPRESS, NvmeCommand(opcode=IoOpcode.WRITE),
+                     payload, qid=1, ring=False)
     # Slots 1..4 hold the chunks, in payload order.
     mem = tb.driver.memory
     raw = b"".join(mem.read(res.sq.slot_addr(i), SQE_SIZE) for i in (1, 2, 3, 4))
@@ -35,8 +36,8 @@ def test_lock_acquired_once_per_inline_submit():
     tb = make_block_testbed()
     sq = tb.driver.queue(1).sq
     before = sq.lock.acquisitions
-    tb.driver.submit_write_inline(NvmeCommand(opcode=IoOpcode.WRITE),
-                                  b"x" * 1000, qid=1)
+    tb.driver.submit(names.BYTEEXPRESS, NvmeCommand(opcode=IoOpcode.WRITE),
+                     b"x" * 1000, qid=1)
     assert sq.lock.acquisitions == before + 1
 
 
@@ -47,9 +48,9 @@ def test_queue_local_fetch_never_interleaves_payloads():
     tb = make_block_testbed()
     a = b"A" * 300
     b = b"B" * 300
-    tb.driver.submit_write_inline(NvmeCommand(opcode=IoOpcode.WRITE, cdw10=0),
-                                  a, qid=1)
-    tb.driver.submit_write_inline(
+    tb.driver.submit(names.BYTEEXPRESS, NvmeCommand(opcode=IoOpcode.WRITE, cdw10=0),
+                     a, qid=1)
+    tb.driver.submit(names.BYTEEXPRESS,
         NvmeCommand(opcode=IoOpcode.WRITE, cdw10=4096), b, qid=2)
     tb.ssd.controller.process_all()
     assert tb.personality.read_back(0, 300) == a
@@ -62,7 +63,7 @@ def test_back_to_back_inline_writes_same_queue():
     tb = make_block_testbed()
     payloads = [bytes([i]) * (50 + i * 64) for i in range(4)]
     for i, payload in enumerate(payloads):
-        tb.driver.submit_write_inline(
+        tb.driver.submit(names.BYTEEXPRESS,
             NvmeCommand(opcode=IoOpcode.WRITE, cdw10=i * 8192), payload,
             qid=1)
     tb.ssd.controller.process_all()
@@ -88,7 +89,7 @@ def test_tagged_mode_many_payloads_across_queues():
     for i in range(12):
         qid = tb.driver.io_qids[i % len(tb.driver.io_qids)]
         payload = bytes([65 + i]) * (100 + 13 * i)
-        tb.driver.submit_write_inline_tagged(
+        tb.driver.submit(names.BYTEEXPRESS_TAGGED,
             NvmeCommand(opcode=IoOpcode.WRITE, cdw10=i * 8192), payload,
             qid=qid, payload_id=i + 1)
         expected[i * 8192] = payload

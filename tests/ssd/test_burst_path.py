@@ -6,6 +6,7 @@ must be invisible when off; when on they must preserve data and command
 semantics while measurably shrinking the TLP counts of their category.
 """
 
+from repro.datapath import names
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode
 from repro.pcie.mmio import sq_doorbell_offset
@@ -26,7 +27,7 @@ def _stage_inline(tb, n, qid=1):
     payloads = [bytes([i + 1]) * 64 for i in range(n)]
     for i, payload in enumerate(payloads):
         cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=i * 4096)
-        tb.driver.submit_write_inline(cmd, payload, qid, ring=False)
+        tb.driver.submit(names.BYTEEXPRESS, cmd, payload, qid, ring=False)
     tb.driver.kick(qid)
     return payloads
 
@@ -71,8 +72,8 @@ def test_burst_clamps_to_published_tail():
     payloads = [bytes([0x10 + i]) * 64 for i in range(6)]
     for i, payload in enumerate(payloads):
         cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=i * 4096)
-        tb.driver.submit_write_prp(cmd, payload, 1, ring=False,
-                                   private_buffer=True)
+        tb.driver.submit(names.PRP, cmd, payload, 1, ring=False,
+                         private_buffer=True)
     before = ctrl.commands_processed
     # publish only the first 4 entries
     tb.ssd.bar.write32(sq_doorbell_offset(1), 4)
@@ -97,8 +98,8 @@ def test_burst_window_never_wraps_the_ring_end():
     # walk the ring near its end, then stage a batch across the wrap
     for i in range(6):
         cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=i * 4096)
-        tb.driver.submit_write_prp(cmd, bytes([i + 1]) * 64, 1,
-                                   private_buffer=True)
+        tb.driver.submit(names.PRP, cmd, bytes([i + 1]) * 64, 1,
+                         private_buffer=True)
     ctrl.process_all()
     tb.driver.reap(1)  # retire the CQEs so the host SQ head advances
     payloads = _stage_inline(tb, 6)  # 12 SQEs from slot 6: wraps at 16

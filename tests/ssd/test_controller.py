@@ -3,6 +3,7 @@ tagged mode, defensive firmware, completion plumbing."""
 
 import pytest
 
+from repro.datapath import names
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode, StatusCode
 from repro.sim.config import SimConfig
@@ -24,23 +25,23 @@ def test_unknown_opcode_fails_cleanly(tb):
 
 def test_commands_processed_counter(tb, payload64):
     before = tb.ssd.controller.commands_processed
-    tb.driver.submit_write_prp(NvmeCommand(opcode=IoOpcode.WRITE),
-                               payload64, qid=1)
+    tb.driver.submit(names.PRP, NvmeCommand(opcode=IoOpcode.WRITE),
+                     payload64, qid=1)
     tb.driver.wait(1)
     assert tb.ssd.controller.commands_processed == before + 1
 
 
 def test_inline_payload_counter(tb, payload64):
-    tb.driver.submit_write_inline(NvmeCommand(opcode=IoOpcode.WRITE),
-                                  payload64, qid=1)
+    tb.driver.submit(names.BYTEEXPRESS, NvmeCommand(opcode=IoOpcode.WRITE),
+                     payload64, qid=1)
     tb.driver.wait(1)
     assert tb.ssd.controller.inline_payloads == 1
 
 
 def test_round_robin_serves_all_queues(tb, payload64):
     for qid in tb.driver.io_qids:
-        tb.driver.submit_write_prp(NvmeCommand(opcode=IoOpcode.WRITE),
-                                   payload64, qid=qid)
+        tb.driver.submit(names.PRP, NvmeCommand(opcode=IoOpcode.WRITE),
+                         payload64, qid=qid)
     tb.ssd.controller.process_all()
     for qid in tb.driver.io_qids:
         assert tb.driver.queue(qid).cq.poll() is not None
@@ -49,14 +50,14 @@ def test_round_robin_serves_all_queues(tb, payload64):
 def test_byteexpress_disabled_firmware_rejects_inline(tb, payload64):
     """Defensive stock firmware: refuse rather than misparse chunks."""
     tb.ssd.controller.byteexpress_enabled = False
-    tb.driver.submit_write_inline(NvmeCommand(opcode=IoOpcode.WRITE),
-                                  payload64, qid=1)
+    tb.driver.submit(names.BYTEEXPRESS, NvmeCommand(opcode=IoOpcode.WRITE),
+                     payload64, qid=1)
     cqe = tb.driver.wait(1)
     assert cqe.status == StatusCode.INVALID_FIELD
     assert tb.ssd.controller.fetch_errors == 1
     # The queue is not wedged: a normal command still works.
-    tb.driver.submit_write_prp(NvmeCommand(opcode=IoOpcode.WRITE),
-                               payload64, qid=1)
+    tb.driver.submit(names.PRP, NvmeCommand(opcode=IoOpcode.WRITE),
+                     payload64, qid=1)
     assert tb.driver.wait(1).ok
 
 
@@ -116,7 +117,7 @@ class TestTaggedMode:
     def test_tagged_roundtrip(self):
         tb = self._tb()
         payload = bytes(i % 251 for i in range(500))
-        tb.driver.submit_write_inline_tagged(
+        tb.driver.submit(names.BYTEEXPRESS_TAGGED,
             NvmeCommand(opcode=IoOpcode.WRITE), payload, qid=1, payload_id=1)
         cqe = tb.driver.wait(1)
         assert cqe.ok
@@ -128,10 +129,10 @@ class TestTaggedMode:
         tb = self._tb()
         a = b"A" * 300
         b = b"B" * 300
-        tb.driver.submit_write_inline_tagged(
+        tb.driver.submit(names.BYTEEXPRESS_TAGGED,
             NvmeCommand(opcode=IoOpcode.WRITE, cdw10=0), a, qid=1,
             payload_id=1)
-        tb.driver.submit_write_inline_tagged(
+        tb.driver.submit(names.BYTEEXPRESS_TAGGED,
             NvmeCommand(opcode=IoOpcode.WRITE, cdw10=4096), b, qid=2,
             payload_id=2)
         tb.ssd.controller.process_all()
@@ -142,13 +143,13 @@ class TestTaggedMode:
 
     def test_duplicate_payload_id_inflight(self):
         tb = self._tb()
-        tb.driver.submit_write_inline_tagged(
+        tb.driver.submit(names.BYTEEXPRESS_TAGGED,
             NvmeCommand(opcode=IoOpcode.WRITE), b"x" * 100, qid=1,
             payload_id=7)
         cqe = tb.driver.wait(1)
         assert cqe.ok
         # Reuse after completion is fine.
-        tb.driver.submit_write_inline_tagged(
+        tb.driver.submit(names.BYTEEXPRESS_TAGGED,
             NvmeCommand(opcode=IoOpcode.WRITE), b"y" * 100, qid=1,
             payload_id=7)
         assert tb.driver.wait(1).ok

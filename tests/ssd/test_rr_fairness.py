@@ -8,6 +8,7 @@ resumes the scan *after the last serviced queue*; these tests pin that
 behaviour down via the controller's service-order trace.
 """
 
+from repro.datapath import names
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode
 from repro.sim.config import SimConfig
@@ -23,7 +24,7 @@ def _rig(queues=3):
 
 def _put(tb, qid, offset=0):
     cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=offset)
-    tb.driver.submit_write_prp(cmd, b"\xab" * 64, qid)
+    tb.driver.submit(names.PRP, cmd, b"\xab" * 64, qid)
 
 
 def test_scan_resumes_after_last_serviced_queue():

@@ -16,6 +16,7 @@ surfaced.
 
 import pytest
 
+from repro.datapath import names
 from repro.host.memory import HostMemory
 from repro.nvme.command import NvmeCommand
 from repro.nvme.completion import NvmeCompletion
@@ -64,7 +65,7 @@ class TestCqOverrunGuard:
 
 class TestCidQuarantine:
     def _submit(self, tb, qid=1, ring=True):
-        return tb.driver.submit_write_inline(
+        return tb.driver.submit(names.BYTEEXPRESS,
             NvmeCommand(opcode=IoOpcode.WRITE), b"q" * 64, qid=qid,
             ring=ring)
 
