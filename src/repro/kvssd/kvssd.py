@@ -119,6 +119,7 @@ class KvSsdPersonality:
             try:
                 ptr = self.vlog.append(key, value)
             except (ValueError, NandError):
+                self.puts += stored
                 return CommandResult(StatusCode.MEDIA_WRITE_FAULT,
                                      result=stored)
             self.index.put(key, ptr)
@@ -174,7 +175,14 @@ class KvSsdPersonality:
         self.index.delete(key)
         self.vlog.mark_dead(old)
         # Durable deletion record, so crash recovery replays the delete.
-        tomb = self.vlog.append(key, b"", tombstone=True)
+        try:
+            tomb = self.vlog.append(key, b"", tombstone=True)
+        except NandError:
+            # No record, no delete: the key keeps its value, as a failed
+            # STORE keeps the old one.
+            self.index.put(key, old)
+            self.vlog.mark_live(old)
+            return CommandResult(StatusCode.MEDIA_WRITE_FAULT)
         self.vlog.mark_dead(tomb)  # tombstones are immediately dead space
         self.deletes += 1
         return CommandResult()

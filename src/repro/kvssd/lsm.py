@@ -17,7 +17,7 @@ merged view of memtable + all levels.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.kvssd.value_log import LogPointer
@@ -31,9 +31,9 @@ _ENTRY = struct.Struct("<HBIII")
 TOMBSTONE = LogPointer(segment=0xFFFFFFFF, offset=0xFFFFFFFF, length=0)
 
 
-def _serialize_entries(entries: List[Tuple[bytes, LogPointer]]) -> bytes:
+def _serialize_run(keys: List[bytes], ptrs: List[LogPointer]) -> bytes:
     out = bytearray()
-    for key, ptr in entries:
+    for key, ptr in zip(keys, ptrs):
         tomb = 1 if ptr == TOMBSTONE else 0
         out += _ENTRY.pack(len(key), tomb, ptr.segment & 0xFFFFFFFF,
                            ptr.offset & 0xFFFFFFFF, ptr.length & 0xFFFFFFFF)
@@ -41,49 +41,35 @@ def _serialize_entries(entries: List[Tuple[bytes, LogPointer]]) -> bytes:
     return bytes(out)
 
 
-def _deserialize_entries(raw: bytes) -> List[Tuple[bytes, LogPointer]]:
-    entries: List[Tuple[bytes, LogPointer]] = []
-    pos = 0
-    while pos < len(raw):
-        key_len, tomb, seg, off, length = _ENTRY.unpack_from(raw, pos)
-        pos += _ENTRY.size
-        key = raw[pos:pos + key_len]
-        pos += key_len
-        ptr = TOMBSTONE if tomb else LogPointer(seg, off, length)
-        entries.append((key, ptr))
-    return entries
-
-
-@dataclass
 class SsTable:
-    """One immutable sorted run, pinned in DRAM, persisted to NAND pages."""
+    """One immutable sorted run, pinned in DRAM, persisted to NAND pages.
 
-    entries: List[Tuple[bytes, LogPointer]]
-    lpns: List[int] = field(default_factory=list)
+    The run is two parallel lists — sorted keys and their pointers — so
+    a lookup is one C-level :func:`bisect.bisect_left` over the keys.
+    """
 
-    def __post_init__(self) -> None:
-        keys = [k for k, _ in self.entries]
+    __slots__ = ("keys", "ptrs", "lpns", "min_key", "max_key")
+
+    def __init__(self, keys: List[bytes], ptrs: List[LogPointer],
+                 lpns: Optional[List[int]] = None) -> None:
+        if len(keys) != len(ptrs):
+            raise ValueError("SSTable keys and pointers differ in length")
         if keys != sorted(keys):
             raise ValueError("SSTable entries must be sorted")
+        self.keys = keys
+        self.ptrs = ptrs
+        self.lpns: List[int] = [] if lpns is None else lpns
+        self.min_key = keys[0]
+        self.max_key = keys[-1]
 
-    @property
-    def min_key(self) -> bytes:
-        return self.entries[0][0]
-
-    @property
-    def max_key(self) -> bytes:
-        return self.entries[-1][0]
+    def __len__(self) -> int:
+        return len(self.keys)
 
     def get(self, key: bytes) -> Optional[LogPointer]:
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.entries) and self.entries[lo][0] == key:
-            return self.entries[lo][1]
+        keys = self.keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            return self.ptrs[i]
         return None
 
 
@@ -124,9 +110,11 @@ class LsmIndex:
     def flush_memtable(self) -> None:
         if not self._memtable:
             return
-        entries = sorted(self._memtable.items())
-        self._memtable.clear()
-        table = self._persist(SsTable(entries))
+        memtable = self._memtable
+        keys = sorted(memtable)
+        table = SsTable(keys, [memtable[k] for k in keys])
+        memtable.clear()
+        self._persist(table)
         self.levels[0].append(table)
         self.flushes += 1
         if len(self.levels[0]) > self.l0_tables:
@@ -134,7 +122,7 @@ class LsmIndex:
 
     def _persist(self, table: SsTable) -> SsTable:
         """Write the table's serialised form to NAND pages via the FTL."""
-        raw = _serialize_entries(table.entries)
+        raw = _serialize_run(table.keys, table.ptrs)
         page_bytes = self.ftl.nand.geometry.page_bytes
         for off in range(0, len(raw), page_bytes):
             lpn = self._next_lpn
@@ -152,61 +140,58 @@ class LsmIndex:
         # Oldest-first so newer tables overwrite older mappings; L0 is
         # ordered oldest→newest, deeper levels hold a single older run.
         for table in self.levels[level + 1] + self.levels[level]:
-            for key, ptr in table.entries:
-                merged[key] = ptr
+            merged.update(zip(table.keys, table.ptrs))
         for table in sources:
             for lpn in table.lpns:
                 self.ftl.trim(lpn)
-        is_last = (level + 1 == len(self.levels) - 1)
-        entries = sorted((k, p) for k, p in merged.items()
-                         if not (is_last and p == TOMBSTONE))
+        if level + 1 == len(self.levels) - 1:
+            # The last level is the oldest data: tombstones can go.
+            keys = sorted(k for k, p in merged.items() if p != TOMBSTONE)
+        else:
+            keys = sorted(merged)
         self.levels[level] = []
         self.levels[level + 1] = (
-            [self._persist(SsTable(entries))] if entries else [])
+            [self._persist(SsTable(keys, [merged[k] for k in keys]))]
+            if keys else [])
         self.compactions += 1
         # Cascade when the level run grows beyond the size ratio.
         limit = self.memtable_entries * (self.level_ratio ** (level + 1))
         run = self.levels[level + 1]
-        if run and len(run[0].entries) > limit:
+        if run and len(run[0]) > limit:
             self._compact(level + 1)
 
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
     def get(self, key: bytes) -> Optional[LogPointer]:
-        """Lookup; returns None for missing or deleted keys."""
+        """Lookup; returns None for missing or deleted keys.
+
+        Newest first: memtable, L0 tables newest to oldest, then each
+        deeper run; the first hit (a tombstone included) decides.
+        """
         ptr = self._memtable.get(key)
         if ptr is None:
-            for table in reversed(self.levels[0]):
-                if table.min_key <= key <= table.max_key:
-                    ptr = table.get(key)
-                    if ptr is not None:
-                        break
-        if ptr is None:
-            for level in self.levels[1:]:
-                for table in level:
+            for level in self.levels:
+                for table in reversed(level):
                     if table.min_key <= key <= table.max_key:
                         ptr = table.get(key)
-                if ptr is not None:
-                    break
-        if ptr is None or ptr == TOMBSTONE:
+                        if ptr is not None:
+                            return None if ptr == TOMBSTONE else ptr
             return None
-        return ptr
+        return None if ptr == TOMBSTONE else ptr
 
     def scan(self, start: bytes, end: bytes) -> Iterator[Tuple[bytes, LogPointer]]:
         """Merged in-order iteration over [start, end) (SYSTOR '23 API)."""
         if start >= end:
             return
         view: Dict[bytes, LogPointer] = {}
-        for level in reversed(self.levels[1:]):
+        # Oldest first so newer runs overwrite: deepest level first, L0
+        # oldest to newest.
+        for level in reversed(self.levels):
             for table in level:
-                for key, ptr in table.entries:
-                    if start <= key < end:
-                        view[key] = ptr
-        for table in self.levels[0]:
-            for key, ptr in table.entries:
-                if start <= key < end:
-                    view[key] = ptr
+                lo = bisect_left(table.keys, start)
+                hi = bisect_left(table.keys, end, lo)
+                view.update(zip(table.keys[lo:hi], table.ptrs[lo:hi]))
         for key, ptr in self._memtable.items():
             if start <= key < end:
                 view[key] = ptr
@@ -222,7 +207,8 @@ class LsmIndex:
     def snapshot(self) -> object:
         return {
             "memtable": dict(self._memtable),
-            "levels": [[(list(t.entries), list(t.lpns)) for t in level]
+            # Runs are immutable, so the image shares their lists.
+            "levels": [[(t.keys, t.ptrs, list(t.lpns)) for t in level]
                        for level in self.levels],
             "next_lpn": self._next_lpn,
             "counters": (self.flushes, self.compactions),
@@ -232,8 +218,7 @@ class LsmIndex:
         assert isinstance(state, dict)
         self._memtable = dict(state["memtable"])
         self.levels = [
-            [SsTable(entries=list(entries), lpns=list(lpns))
-             for entries, lpns in level]
+            [SsTable(keys, ptrs, list(lpns)) for keys, ptrs, lpns in level]
             for level in state["levels"]]
         self._next_lpn = state["next_lpn"]
         self.flushes, self.compactions = state["counters"]
@@ -265,5 +250,5 @@ class LsmIndex:
         total = len(self._memtable)
         for level in self.levels:
             for table in level:
-                total += len(table.entries)
+                total += len(table)
         return total

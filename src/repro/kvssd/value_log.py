@@ -14,8 +14,7 @@ Entry format: ``key_len u16 | value_len u32 | key | value``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from repro.ssd.dram import DeviceDram, DramRegion
 from repro.ssd.ftl import PageMappingFtl
@@ -27,9 +26,12 @@ _TOMBSTONE_FLAG = 0x8000
 MAX_LOG_KEY = 0x7FFF
 
 
-@dataclass(frozen=True)
-class LogPointer:
-    """Location of one value-log entry."""
+class LogPointer(NamedTuple):
+    """Location of one value-log entry.
+
+    A tuple, so the index's pointer comparisons (``== TOMBSTONE``, GC's
+    liveness check) run in C.
+    """
 
     segment: int      # log segment number (== logical page for flushed)
     offset: int       # byte offset within the segment
@@ -107,17 +109,7 @@ class ValueLog:
 
     def read(self, ptr: LogPointer) -> Tuple[bytes, bytes]:
         """Fetch (key, value) for a pointer, from DRAM or NAND."""
-        if ptr.segment == self._segment and not self._flushed.get(ptr.segment):
-            raw = self._buffer.read(ptr.offset, ptr.length)
-        elif self._flushed.get(ptr.segment):
-            page = self.ftl.read(self.lpn_base + ptr.segment)
-            raw = page[ptr.offset:ptr.offset + ptr.length]
-        else:
-            raise KeyError(f"stale log pointer {ptr}")
-        key_len, value_len = _ENTRY_HEADER.unpack_from(raw)
-        key_len &= ~_TOMBSTONE_FLAG
-        body = raw[_ENTRY_HEADER.size:]
-        return body[:key_len], body[key_len:key_len + value_len]
+        return self._decode(ptr, self.ftl.read)
 
     def peek(self, ptr: LogPointer) -> Tuple[bytes, bytes]:
         """Timing-free :meth:`read` for verification oracles.
@@ -126,11 +118,15 @@ class ValueLog:
         FTL/NAND ``peek`` chain so the shadow read charges no simulated
         time and perturbs no counters.
         """
-        if ptr.segment == self._segment and not self._flushed.get(ptr.segment):
-            raw = self._buffer.read(ptr.offset, ptr.length)
-        elif self._flushed.get(ptr.segment):
-            page = self.ftl.peek(self.lpn_base + ptr.segment)
+        return self._decode(ptr, self.ftl.peek)
+
+    def _decode(self, ptr: LogPointer,
+                fetch_page: Callable[[int], bytes]) -> Tuple[bytes, bytes]:
+        if self._flushed.get(ptr.segment):
+            page = fetch_page(self.lpn_base + ptr.segment)
             raw = page[ptr.offset:ptr.offset + ptr.length]
+        elif ptr.segment == self._segment:
+            raw = self._buffer.read(ptr.offset, ptr.length)
         else:
             raise KeyError(f"stale log pointer {ptr}")
         key_len, value_len = _ENTRY_HEADER.unpack_from(raw)
@@ -208,6 +204,10 @@ class ValueLog:
         live = self._live.get(ptr.segment, 0) - ptr.length
         self._live[ptr.segment] = max(0, live)
 
+    def mark_live(self, ptr: LogPointer) -> None:
+        """Undo :meth:`mark_dead` for an entry that is current again."""
+        self._live[ptr.segment] = self._live.get(ptr.segment, 0) + ptr.length
+
     @property
     def dead_bytes(self) -> int:
         """Dead space across *flushed* segments (GC's reclaimable pool)."""
@@ -256,7 +256,9 @@ class ValueLog:
             return False
         victim = max(candidates,
                      key=lambda s: self._used[s] - self._live.get(s, 0))
-        for old_ptr, key, value, is_tomb in list(self._parse_segment(victim)):
+        # Streamed: the victim page is read once, before the first
+        # relocation, and relocations only append to the active segment.
+        for old_ptr, key, value, is_tomb in self._parse_segment(victim):
             if is_tomb:
                 if keep_tombstone is not None and keep_tombstone(key):
                     self.append(key, b"", tombstone=True)

@@ -10,6 +10,7 @@ from repro.kvssd.commands import (
     decode_batch_payload,
     encode_batch_payload,
 )
+from repro.nvme.constants import StatusCode, VendorOpcode
 from repro.testbed import make_kv_testbed
 
 
@@ -91,3 +92,23 @@ class TestBatchStore:
         tb, store = self._rig()
         store.put_batch([(f"crashb{i:010d}".encode(), b"v") for i in range(8)])
         assert tb.personality.crash_and_recover() == 8
+
+    def test_media_fault_mid_batch_counts_the_stored_pairs(self):
+        """A program fault that stops a batch partway reports how many
+        pairs landed, and the device counts exactly those as PUTs."""
+        tb, store = self._rig()
+        vlog = tb.personality.vlog
+        # Leave room for the first pair (6 B header + 8 B key + 2 B
+        # value) but not the second, so its append flushes the segment.
+        store.put(b"filler00", b"f" * (vlog.segment_bytes - 14 - 20))
+        for die in range(tb.ssd.nand.geometry.dies):
+            tb.ssd.nand.inject_program_failures(die, count=1)
+        puts = tb.personality.puts
+        stats = tb.method("byteexpress").write(
+            encode_batch_payload([(b"batchk00", b"v0"), (b"batchk01", b"v1"),
+                                  (b"batchk02", b"v2")]),
+            opcode=VendorOpcode.KV_BATCH_STORE)
+        assert stats.status == StatusCode.MEDIA_WRITE_FAULT
+        assert tb.personality.puts == puts + 1
+        assert store.get(b"batchk00") == b"v0"
+        assert not store.exists(b"batchk01")
