@@ -10,7 +10,7 @@ exactly like the Cosmos+ firmware variants the paper evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.durability.domains import (
     DEVICE_VOLATILE,
@@ -32,7 +32,7 @@ from repro.ssd.controller import (
     NvmeController,
 )
 from repro.ssd.dram import DeviceDram
-from repro.ssd.ftl import PageMappingFtl
+from repro.ssd.ftl import FtlError, PageMappingFtl
 from repro.ssd.nand import NandArray, NandError
 
 
@@ -100,14 +100,15 @@ class BlockSsdPersonality:
         #: buffer entry of normal block SSDs", §3.3.1).
         self.staging = ssd.dram.carve("block.staging", 4 << 20)
         self._staging_off = 0
-        #: NAND-off functional store: logical page -> bytes.
-        self._pages: Dict[int, bytearray] = {}
+        #: NAND-off functional store: logical page -> its written prefix
+        #: (at most ``PAGE_SIZE`` bytes; everything past it reads as zero).
+        self._pages: Dict[int, bytes] = {}
         ssd.controller.register_handler(IoOpcode.WRITE, self._on_write)
         ssd.controller.register_handler(IoOpcode.READ, self._on_read)
         ssd.controller.register_handler(IoOpcode.FLUSH, self._on_flush)
         # The functional store stands in for the NAND medium when NAND is
-        # off — it is the device's persistent surface either way (with
-        # NAND on it merely mirrors what the FTL path wrote).
+        # off — it is the device's persistent surface then.  With NAND on
+        # the FTL holds the data and the store stays empty.
         ssd.durability.register("block.medium", PERSISTENT, self)
 
     # ------------------------------------------------------------------
@@ -135,26 +136,31 @@ class BlockSsdPersonality:
     def _write_functional(self, offset: int, data: bytes) -> None:
         in_page = offset % PAGE_SIZE
         if data and in_page + len(data) <= PAGE_SIZE:
-            # Fast path: the write lands in a single page.  (``get`` +
-            # explicit insert, not ``setdefault`` — the latter would
-            # allocate a fresh 4 KB default on every call.)
-            lpn = offset // PAGE_SIZE
-            page = self._pages.get(lpn)
-            if page is None:
-                page = self._pages[lpn] = bytearray(PAGE_SIZE)
-            page[in_page:in_page + len(data)] = data
+            # Fast path: the write lands in a single page.
+            self._put(offset // PAGE_SIZE, in_page, data)
             return
         for lpn, start, piece in self._split_pages(offset, data):
-            page = self._pages.setdefault(lpn, bytearray(PAGE_SIZE))
-            page[start:start + len(piece)] = piece
+            self._put(lpn, start, piece)
+
+    def _put(self, lpn: int, start: int, piece: bytes) -> None:
+        """Write *piece* at *start* in page *lpn*, growing its prefix.
+
+        Pages are immutable ``bytes``: a write rebuilds its page, so a
+        first write at offset 0 stores the payload object itself.
+        """
+        page = self._pages.get(lpn, b"")
+        if start > len(page):
+            page += bytes(start - len(page))
+        self._pages[lpn] = page[:start] + piece + page[start + len(piece):]
 
     def _write_through_ftl(self, offset: int, data: bytes) -> None:
         for lpn, start, piece in self._split_pages(offset, data):
             if start != 0 or len(piece) != PAGE_SIZE:
-                # Sub-page write: read-modify-write.
+                # Sub-page write: read-modify-write.  A NandError is a
+                # media fault and reaches the caller.
                 try:
                     current = bytearray(self.ssd.ftl.read(lpn))
-                except Exception:
+                except FtlError:  # never written: reads as zeros
                     current = bytearray(PAGE_SIZE)
                 current[start:start + len(piece)] = piece
                 self.ssd.ftl.write(lpn, bytes(current))
@@ -183,23 +189,40 @@ class BlockSsdPersonality:
         # padded up to the LBA boundary; SGL bit buckets can discard it.
         lba = self.ssd.config.lba_bytes
         nbytes = -(-nbytes // lba) * lba
-        out = bytearray()
+        try:
+            data = self._read(offset, nbytes, self.ssd.ftl.read)
+        except NandError:
+            return CommandResult(StatusCode.INTERNAL_ERROR)
+        return CommandResult(read_data=data)
+
+    def _read(self, offset: int, nbytes: int,
+              fetch: Callable[[int], bytes]) -> bytes:
+        """Gather *nbytes* at *offset*, one logical page at a time.
+
+        With NAND on, *fetch* returns a page's data: ``ftl.read`` for the
+        READ command, ``ftl.peek`` for :meth:`read_back`.  With NAND off
+        both read the medium.  A never-written page, and any byte past
+        what a page holds, reads as zero.
+        """
+        if not self.ssd.nand_enabled:
+            fetch = self._medium_page
+        out = bytearray(nbytes)
         pos = 0
         while pos < nbytes:
             addr = offset + pos
-            lpn = addr // PAGE_SIZE
             in_page = addr % PAGE_SIZE
             take = min(nbytes - pos, PAGE_SIZE - in_page)
-            if self.ssd.nand_enabled:
-                try:
-                    page = self.ssd.ftl.read(lpn)
-                except Exception:
-                    page = b"\x00" * PAGE_SIZE
-            else:
-                page = bytes(self._pages.get(lpn, b"\x00" * PAGE_SIZE))
-            out += page[in_page:in_page + take]
+            try:
+                page = fetch(addr // PAGE_SIZE)
+            except FtlError:  # never written
+                page = b""
+            piece = page[in_page:in_page + take]
+            out[pos:pos + len(piece)] = piece
             pos += take
-        return CommandResult(read_data=bytes(out))
+        return bytes(out)
+
+    def _medium_page(self, lpn: int) -> bytes:
+        return self._pages.get(lpn, b"")
 
     def _on_flush(self, ctx: CommandContext) -> CommandResult:
         if self.ssd.nand_enabled:
@@ -208,11 +231,12 @@ class BlockSsdPersonality:
 
     # -- persistence (repro.durability) ------------------------------------
     def snapshot(self) -> object:
-        return {lpn: bytes(page) for lpn, page in self._pages.items()}
+        # Pages are immutable, so the snapshot shares them.
+        return dict(self._pages)
 
     def restore(self, state: object) -> None:
         assert isinstance(state, dict)
-        self._pages = {lpn: bytearray(page) for lpn, page in state.items()}
+        self._pages = dict(state)
 
     def scrub(self) -> None:
         """Explicit sanitize of the functional medium (never at a crash —
@@ -221,18 +245,9 @@ class BlockSsdPersonality:
 
     # -- test/inspection hooks ---------------------------------------------
     def read_back(self, offset: int, nbytes: int) -> bytes:
-        """Direct functional read for verification in tests."""
-        out = bytearray()
-        pos = 0
-        while pos < nbytes:
-            addr = offset + pos
-            lpn = addr // PAGE_SIZE
-            in_page = addr % PAGE_SIZE
-            take = min(nbytes - pos, PAGE_SIZE - in_page)
-            if self.ssd.nand_enabled:
-                page = self.ssd.ftl.read(lpn)
-            else:
-                page = bytes(self._pages.get(lpn, b"\x00" * PAGE_SIZE))
-            out += page[in_page:in_page + take]
-            pos += take
-        return bytes(out)
+        """Direct functional read for verification in tests.
+
+        Timing-free on both NAND modes: no clock advance, no NAND read
+        counted.
+        """
+        return self._read(offset, nbytes, self.ssd.ftl.peek)
