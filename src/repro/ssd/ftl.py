@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-from repro.ssd.nand import NandArray, PhysicalPage
+from repro.ssd.nand import NandArray, NandError, PhysicalPage
 
 
 class FtlError(Exception):
@@ -100,7 +100,13 @@ class PageMappingFtl:
         die = self._next_die
         self._next_die = (self._next_die + 1) % self.nand.geometry.dies
         ppage = self._allocate(die)
-        self.nand.program(ppage, data, blocking=blocking)
+        try:
+            self.nand.program(ppage, data, blocking=blocking)
+        except NandError:
+            # The page stays unprogrammed: give it back, so the die's
+            # next write lands on its NAND write point.
+            self._dies[die].next_page -= 1
+            raise
         self._invalidate(lpn)
         self._map[lpn] = ppage
         die_idx = self.nand.geometry.die_index(ppage.channel, ppage.way)

@@ -5,7 +5,7 @@ import pytest
 from repro.sim.clock import SimClock
 from repro.sim.config import TimingModel
 from repro.ssd.ftl import FtlError, PageMappingFtl
-from repro.ssd.nand import NandArray, NandGeometry
+from repro.ssd.nand import NandArray, NandError, NandGeometry
 
 
 def _ftl(blocks=4, pages=4, dies=(1, 1)):
@@ -47,6 +47,20 @@ def test_writes_stripe_across_dies():
     pages = [ftl.write(i, b"d") for i in range(4)]
     dies = {(p.channel, p.way) for p in pages}
     assert len(dies) == 4  # round-robin hit every die
+
+
+def test_failed_program_does_not_wedge_its_die():
+    """A failed program leaves its page unprogrammed; the FTL hands the
+    page out again, so later writes to that die still program in order."""
+    ftl = _ftl(blocks=8, dies=(2, 2))
+    dies = ftl.nand.geometry.dies
+    ftl.nand.inject_program_failures(ftl._next_die, count=1)
+    with pytest.raises(NandError):
+        ftl.write(0, b"lost")
+    for lpn in range(2 * dies):
+        ftl.write(lpn, b"data%d" % lpn)
+    for lpn in range(2 * dies):
+        assert ftl.read(lpn).startswith(b"data%d" % lpn)
 
 
 def test_trim_invalidates():
