@@ -68,6 +68,7 @@ class KvSsdPersonality:
         self.gets = 0
         self.deletes = 0
         self.lists = 0
+        self.gc_aborts = 0
 
     # ------------------------------------------------------------------
     @property
@@ -131,13 +132,19 @@ class KvSsdPersonality:
         return CommandResult(result=stored)
 
     def maybe_collect(self) -> bool:
-        """Run one value-log GC pass if dead space crossed the threshold."""
+        """Run one value-log GC pass if dead space crossed the threshold.
+
+        GC runs after the command's own work, so a NAND program fault in
+        a relocation abandons the pass (counted in ``gc_aborts``) rather
+        than failing a command whose pair is already stored.
+        """
         if self.vlog.dead_bytes < self.gc_threshold_bytes:
             return False
-        return self.vlog.collect(
-            is_live=lambda key, ptr: self.index.get(key) == ptr,
-            on_relocate=lambda key, _old, new: self.index.put(key, new),
-            keep_tombstone=lambda key: self.index.get(key) is None)
+        try:
+            return self.vlog.collect(self.index.get, self.index.put)
+        except NandError:
+            self.gc_aborts += 1
+            return False
 
     def _lookup(self, ctx: CommandContext) -> Tuple[Optional[bytes],
                                                     Optional[bytes]]:
@@ -260,7 +267,7 @@ class KvSsdPersonality:
         """
         restored: dict = {}
         for segment in self.vlog.flushed_segments:
-            for ptr, key, value, is_tomb in self.vlog.parse_segment(segment):
+            for ptr, key, is_tomb in self.vlog.parse_segment(segment):
                 if is_tomb:
                     restored.pop(key, None)
                 else:

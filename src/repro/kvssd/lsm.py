@@ -3,12 +3,17 @@
 An iLSM/PinK-style in-storage LSM tree mapping keys to value-log pointers:
 a sorted memtable absorbs writes; full memtables flush to immutable,
 sorted SSTables (serialised to NAND through the FTL, so flush/compaction
-I/O is charged to the NAND model); L0 tables may overlap and are searched
-newest-first; deeper levels are kept as one non-overlapping sorted run
-each and are merged by whole-level compaction when the level above
-overflows.  Following PinK, the key/pointer entries of every level are
-pinned in device DRAM, bounding read tail latency — lookups never touch
-NAND for index data, only for values.
+I/O is charged to the NAND model); L0 tables may overlap; deeper levels
+are kept as one non-overlapping sorted run each and are merged by
+whole-level compaction when the level above overflows.  Following PinK,
+the key/pointer entries of every level are pinned in device DRAM, so
+lookups never touch NAND for index data, only for values.
+
+Point lookups are served by one live-key map (each key's newest pointer,
+deleted keys absent) that the write path keeps current; the levels model
+the flush and compaction NAND traffic and serve ordered scans.  Lookup
+cost is charged by the personality (``kv_get_logic_ns``), not derived
+from how the host finds the pointer.
 
 Tombstones implement deletion; iterators (SYSTOR '23's extension) walk a
 merged view of memtable + all levels.
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.kvssd.value_log import LogPointer
 from repro.ssd.ftl import PageMappingFtl
@@ -45,10 +50,10 @@ class SsTable:
     """One immutable sorted run, pinned in DRAM, persisted to NAND pages.
 
     The run is two parallel lists — sorted keys and their pointers — so
-    a lookup is one C-level :func:`bisect.bisect_left` over the keys.
+    a scan slices it with :func:`bisect.bisect_left` over the keys.
     """
 
-    __slots__ = ("keys", "ptrs", "lpns", "min_key", "max_key")
+    __slots__ = ("keys", "ptrs", "lpns")
 
     def __init__(self, keys: List[bytes], ptrs: List[LogPointer],
                  lpns: Optional[List[int]] = None) -> None:
@@ -59,18 +64,25 @@ class SsTable:
         self.keys = keys
         self.ptrs = ptrs
         self.lpns: List[int] = [] if lpns is None else lpns
-        self.min_key = keys[0]
-        self.max_key = keys[-1]
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def get(self, key: bytes) -> Optional[LogPointer]:
-        keys = self.keys
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key:
-            return self.ptrs[i]
-        return None
+
+def _merge(tables: Iterable[SsTable], start: bytes = b"",
+           end: Optional[bytes] = None) -> Dict[bytes, LogPointer]:
+    """Merge runs given oldest first: newer runs overwrite older mappings.
+
+    Tombstones are kept; only keys in [start, end) are taken (no upper
+    bound when *end* is None).
+    """
+    merged: Dict[bytes, LogPointer] = {}
+    for table in tables:
+        keys = table.keys
+        lo = bisect_left(keys, start)
+        hi = len(keys) if end is None else bisect_left(keys, end, lo)
+        merged.update(zip(keys[lo:hi], table.ptrs[lo:hi]))
+    return merged
 
 
 class LsmIndex:
@@ -87,6 +99,8 @@ class LsmIndex:
         self.l0_tables = l0_tables
         self.level_ratio = level_ratio
         self._memtable: Dict[bytes, LogPointer] = {}
+        #: Every live key's newest pointer; deleted keys are absent.
+        self._live: Dict[bytes, LogPointer] = {}
         #: levels[0] is L0 (list of possibly-overlapping tables, newest
         #: last); levels[i>0] hold at most one sorted run each.
         self.levels: List[List[SsTable]] = [[]]
@@ -100,12 +114,18 @@ class LsmIndex:
     def put(self, key: bytes, ptr: LogPointer) -> None:
         if not key:
             raise ValueError("empty key")
+        self._live[key] = ptr
         self._memtable[key] = ptr
         if len(self._memtable) >= self.memtable_entries:
             self.flush_memtable()
 
     def delete(self, key: bytes) -> None:
-        self.put(key, TOMBSTONE)
+        if not key:
+            raise ValueError("empty key")
+        self._live.pop(key, None)
+        self._memtable[key] = TOMBSTONE
+        if len(self._memtable) >= self.memtable_entries:
+            self.flush_memtable()
 
     def flush_memtable(self) -> None:
         if not self._memtable:
@@ -135,12 +155,9 @@ class LsmIndex:
         """Merge *level* into *level*+1 as one fresh sorted run."""
         while len(self.levels) <= level + 1:
             self.levels.append([])
-        sources = self.levels[level] + self.levels[level + 1]
-        merged: Dict[bytes, LogPointer] = {}
-        # Oldest-first so newer tables overwrite older mappings; L0 is
-        # ordered oldest→newest, deeper levels hold a single older run.
-        for table in self.levels[level + 1] + self.levels[level]:
-            merged.update(zip(table.keys, table.ptrs))
+        # L0 is ordered oldest→newest; the deeper level holds one older run.
+        sources = self.levels[level + 1] + self.levels[level]
+        merged = _merge(sources)
         for table in sources:
             for lpn in table.lpns:
                 self.ftl.trim(lpn)
@@ -164,34 +181,20 @@ class LsmIndex:
     # read path
     # ------------------------------------------------------------------
     def get(self, key: bytes) -> Optional[LogPointer]:
-        """Lookup; returns None for missing or deleted keys.
+        """Lookup; returns None for missing or deleted keys."""
+        return self._live.get(key)
 
-        Newest first: memtable, L0 tables newest to oldest, then each
-        deeper run; the first hit (a tombstone included) decides.
-        """
-        ptr = self._memtable.get(key)
-        if ptr is None:
-            for level in self.levels:
-                for table in reversed(level):
-                    if table.min_key <= key <= table.max_key:
-                        ptr = table.get(key)
-                        if ptr is not None:
-                            return None if ptr == TOMBSTONE else ptr
-            return None
-        return None if ptr == TOMBSTONE else ptr
+    def _oldest_first(self) -> Iterator[SsTable]:
+        """Every run, oldest first: deepest level first, L0 oldest to
+        newest."""
+        for level in reversed(self.levels):
+            yield from level
 
     def scan(self, start: bytes, end: bytes) -> Iterator[Tuple[bytes, LogPointer]]:
         """Merged in-order iteration over [start, end) (SYSTOR '23 API)."""
         if start >= end:
             return
-        view: Dict[bytes, LogPointer] = {}
-        # Oldest first so newer runs overwrite: deepest level first, L0
-        # oldest to newest.
-        for level in reversed(self.levels):
-            for table in level:
-                lo = bisect_left(table.keys, start)
-                hi = bisect_left(table.keys, end, lo)
-                view.update(zip(table.keys[lo:hi], table.ptrs[lo:hi]))
+        view = _merge(self._oldest_first(), start, end)
         for key, ptr in self._memtable.items():
             if start <= key < end:
                 view[key] = ptr
@@ -222,6 +225,9 @@ class LsmIndex:
             for level in state["levels"]]
         self._next_lpn = state["next_lpn"]
         self.flushes, self.compactions = state["counters"]
+        live = _merge(self._oldest_first())
+        live.update(self._memtable)
+        self._live = {k: p for k, p in live.items() if p != TOMBSTONE}
 
     def scrub(self) -> None:
         """Drop every in-DRAM structure; the LPN window resets too.
@@ -236,6 +242,7 @@ class LsmIndex:
                 for lpn in table.lpns:
                     self.ftl.trim(lpn)  # no-op when the FTL was scrubbed
         self._memtable = {}
+        self._live = {}
         self.levels = [[]]
         self._next_lpn = self.lpn_base
 

@@ -64,9 +64,6 @@ class ValueLog:
         self.gc_relocated = 0
 
     # ------------------------------------------------------------------
-    def entry_size(self, key: bytes, value: bytes) -> int:
-        return _ENTRY_HEADER.size + len(key) + len(value)
-
     def append(self, key: bytes, value: bytes,
                tombstone: bool = False) -> LogPointer:
         """Append one entry; flushes the active segment first if needed.
@@ -74,26 +71,28 @@ class ValueLog:
         *tombstone* writes a durable deletion record (empty value, flag
         bit set in the key length) so crash recovery replays deletes.
         """
-        if not key:
+        key_len = len(key)
+        if not key_len:
             raise ValueError("empty key")
-        if len(key) > MAX_LOG_KEY:
+        if key_len > MAX_LOG_KEY:
             raise ValueError(f"key exceeds {MAX_LOG_KEY} bytes")
         if tombstone and value:
             raise ValueError("tombstones carry no value")
-        size = self.entry_size(key, value)
+        size = _ENTRY_HEADER.size + key_len + len(value)
         if size > self.segment_bytes:
             raise ValueError(
                 f"entry of {size} B exceeds segment size {self.segment_bytes}")
         if self._offset + size > self.segment_bytes:
             self.flush()
-        ptr = LogPointer(self._segment, self._offset, size)
-        key_field = len(key) | (_TOMBSTONE_FLAG if tombstone else 0)
-        record = _ENTRY_HEADER.pack(key_field, len(value)) + key + value
-        self._buffer.write(self._offset, record)
-        self._offset += size
-        self._live[self._segment] = self._live.get(self._segment, 0) + size
+        segment, offset = self._segment, self._offset
+        key_field = (key_len | _TOMBSTONE_FLAG) if tombstone else key_len
+        self._buffer.write(
+            offset, _ENTRY_HEADER.pack(key_field, len(value)) + key + value)
+        self._offset = offset + size
+        live = self._live
+        live[segment] = live.get(segment, 0) + size
         self.appends += 1
-        return ptr
+        return LogPointer(segment, offset, size)
 
     def flush(self) -> None:
         """Persist the active segment to NAND (pipelined program)."""
@@ -144,10 +143,11 @@ class ValueLog:
         return tuple(sorted(self._flushed))
 
     def parse_segment(
-            self, segment: int
-    ) -> Iterator[Tuple[LogPointer, bytes, bytes, bool]]:
-        """Public replay iterator over one flushed segment."""
-        return self._parse_segment(segment)
+            self, segment: int) -> Iterator[Tuple[LogPointer, bytes, bool]]:
+        """Replay iterator over one flushed segment: yields
+        ``(ptr, key, is_tombstone)`` per record, in log order."""
+        return self._records(segment,
+                             self.ftl.read(self.lpn_base + segment))
 
     # ------------------------------------------------------------------
     # persistence (repro.durability)
@@ -216,39 +216,44 @@ class ValueLog:
             total += self._used.get(seg, 0) - self._live.get(seg, 0)
         return total
 
-    def _parse_segment(
-            self, segment: int
-    ) -> Iterator[Tuple[LogPointer, bytes, bytes, bool]]:
-        """Yield (ptr, key, value, is_tombstone) for a flushed segment."""
-        page = self.ftl.read(self.lpn_base + segment)
+    def _records(self, segment: int,
+                 page: bytes) -> Iterator[Tuple[LogPointer, bytes, bool]]:
+        """Walk the records of flushed *segment*, whose page is *page*.
+
+        Yields ``(ptr, key, is_tombstone)``; a record's value is
+        ``page[ptr.offset + header + len(key):ptr.offset + ptr.length]``
+        and is left for the caller to copy if it needs it.
+        """
         used = self._used[segment]
+        header = _ENTRY_HEADER.size
+        unpack = _ENTRY_HEADER.unpack_from
         offset = 0
-        while offset + _ENTRY_HEADER.size <= used:
-            key_field, value_len = _ENTRY_HEADER.unpack_from(page, offset)
+        while offset + header <= used:
+            key_field, value_len = unpack(page, offset)
             if key_field == 0:
                 break
-            is_tomb = bool(key_field & _TOMBSTONE_FLAG)
             key_len = key_field & ~_TOMBSTONE_FLAG
-            size = _ENTRY_HEADER.size + key_len + value_len
-            body = page[offset + _ENTRY_HEADER.size:offset + size]
+            size = header + key_len + value_len
+            start = offset + header
             yield (LogPointer(segment, offset, size),
-                   bytes(body[:key_len]), bytes(body[key_len:]), is_tomb)
+                   page[start:start + key_len],
+                   key_field >= _TOMBSTONE_FLAG)
             offset += size
 
-    def collect(
-            self,
-            is_live: Callable[[bytes, LogPointer], bool],
-            on_relocate: Callable[[bytes, LogPointer, LogPointer], None],
-            keep_tombstone: Optional[Callable[[bytes], bool]] = None,
-    ) -> bool:
+    def collect(self, lookup: Callable[[bytes], Optional[LogPointer]],
+                relocate: Callable[[bytes, LogPointer], None]) -> bool:
         """One GC pass: reclaim the flushed segment with the most garbage.
 
-        *is_live(key, ptr)* asks the index whether *ptr* is still current;
-        *on_relocate(key, old_ptr, new_ptr)* updates the index after a
-        live entry is re-appended.  *keep_tombstone(key)*, when given,
-        decides whether a durable deletion record must be carried forward
-        (it must while any older segment may still hold the key).
-        Returns False when nothing is worth collecting.
+        *lookup(key)* returns the index's current pointer for *key*, or
+        None when the key is deleted.  A record is live when its own
+        pointer is current: it is re-appended and *relocate(key,
+        new_ptr)* updates the index.  A tombstone is carried forward
+        while its key is deleted, since an older segment may still hold
+        the key.  Returns False when nothing is worth collecting.
+
+        A :class:`NandError` from a relocation's append abandons the
+        pass: the victim stays, and each entry already relocated has
+        come off its live count, so its dead space stays right.
         """
         candidates = [seg for seg in self._flushed
                       if self._used.get(seg, 0) > self._live.get(seg, 0)]
@@ -256,18 +261,24 @@ class ValueLog:
             return False
         victim = max(candidates,
                      key=lambda s: self._used[s] - self._live.get(s, 0))
-        # Streamed: the victim page is read once, before the first
-        # relocation, and relocations only append to the active segment.
-        for old_ptr, key, value, is_tomb in self._parse_segment(victim):
+        # The victim page is read once, before the first relocation, and
+        # relocations only append to the active segment.
+        page = self.ftl.read(self.lpn_base + victim)
+        header = _ENTRY_HEADER.size
+        for ptr, key, is_tomb in self._records(victim, page):
+            current = lookup(key)
             if is_tomb:
-                if keep_tombstone is not None and keep_tombstone(key):
-                    self.append(key, b"", tombstone=True)
-                    self.gc_relocated += 1
+                if current is not None:
+                    continue
+                self.append(key, b"", tombstone=True)
+            elif current == ptr:
+                start = ptr.offset + header + len(key)
+                new_ptr = self.append(
+                    key, page[start:ptr.offset + ptr.length])
+                self.mark_dead(ptr)
+                relocate(key, new_ptr)
+            else:
                 continue
-            if not is_live(key, old_ptr):
-                continue
-            new_ptr = self.append(key, value)
-            on_relocate(key, old_ptr, new_ptr)
             self.gc_relocated += 1
         self.ftl.trim(self.lpn_base + victim)
         del self._flushed[victim]

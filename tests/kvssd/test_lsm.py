@@ -109,13 +109,6 @@ def test_sstable_requires_sorted_entries():
         SsTable([b"b", b"a"], [_ptr(1), _ptr(2)])
 
 
-def test_sstable_binary_search():
-    evens = range(0, 50, 2)
-    table = SsTable([bytes([i]) for i in evens], [_ptr(i) for i in evens])
-    assert table.get(bytes([10])) == _ptr(10)
-    assert table.get(bytes([11])) is None
-
-
 def test_empty_key_rejected():
     with pytest.raises(ValueError):
         _index().put(b"", _ptr(1))

@@ -1,5 +1,8 @@
 """KV commands under NAND program faults: a failed command reports
-MEDIA_WRITE_FAULT and leaves the key as it was."""
+MEDIA_WRITE_FAULT and leaves the key as it was; a fault in value-log GC
+fails no command."""
+
+import random
 
 from repro.kvssd import KVStore
 from repro.kvssd.commands import make_delete_command
@@ -63,3 +66,66 @@ def test_delete_after_a_failed_delete_succeeds():
     tb.personality.crash_and_recover()
     assert not store.exists(b"victim00")
     assert store.get(b"fill0000") == b"f" * 2048
+
+
+def live_bytes_by_segment(kv) -> dict:
+    """Bytes of each flushed segment's records the index still points
+    at (no deletes here, so no carried tombstones)."""
+    return {seg: sum(ptr.length
+                     for ptr, key, _tomb in kv.vlog.parse_segment(seg)
+                     if kv.index.get(key) == ptr)
+            for seg in kv.vlog.flushed_segments}
+
+
+def test_gc_program_fault_does_not_fail_the_store():
+    """A NAND program fault inside value-log GC abandons the GC pass;
+    the STORE that triggered it has stored its pair and succeeds, and
+    GC resumes on later STOREs."""
+    tb = make_kv_testbed()
+    store = KVStore(tb.driver, tb.method("byteexpress"))
+    kv = tb.personality
+    vlog = kv.vlog
+    model = {}
+    # Seeded overwrite churn: GC victims keep some live entries.
+    order = list(range(200)) + random.Random(1).choices(range(200), k=2000)
+
+    def put(n, value=None):
+        key = b"key%05d" % order[n]
+        model[key] = value or bytes([n % 256]) * 300
+        store.put(key, model[key])
+
+    for n in range(200):
+        put(n)
+    # Churn until the next PUT, an overwrite of an entry in a flushed
+    # segment, pushes dead space to the GC threshold.
+    n = 200
+    while True:
+        key = b"key%05d" % order[n]
+        old = kv.index.get(key)
+        room = vlog.segment_bytes - vlog.active_bytes - 6 - len(key) - 700
+        if (old.segment in vlog.flushed_segments and room > 0
+                and vlog.dead_bytes + old.length >= kv.gc_threshold_bytes):
+            break
+        put(n)
+        n += 1
+    # Sized to leave 700 B in the active segment: GC relocates two
+    # 314 B entries, then the third flushes the segment onto a die that
+    # fails the program.
+    runs, relocated = vlog.gc_runs, vlog.gc_relocated
+    tb.ssd.nand.inject_program_failures(tb.ssd.ftl._next_die, count=1)
+    put(n, b"t" * room)
+
+    assert kv.gc_aborts == 1
+    assert (vlog.gc_runs, vlog.gc_relocated) == (runs, relocated + 2)
+    # The abandoned victim's live count lost the two relocated entries.
+    live = vlog.snapshot()["live"]
+    for segment, nbytes in live_bytes_by_segment(kv).items():
+        assert live[segment] == nbytes, segment
+    for n in range(n + 1, n + 400):
+        put(n)
+    assert vlog.gc_runs > runs
+    for key, value in model.items():
+        assert store.get(key, max_value_len=16384) == value, key
+    assert kv.crash_and_recover() == len(model)
+    for key, value in model.items():
+        assert kv.peek(key) == value, key
