@@ -27,6 +27,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.kvssd.value_log import LogPointer
 from repro.ssd.ftl import PageMappingFtl
+from repro.ssd.nand import NandError
 
 #: Serialised index entry: key_len u16 | tombstone u8 | segment u32 |
 #: offset u32 | length u32 | key bytes.
@@ -107,6 +108,9 @@ class LsmIndex:
         self._next_lpn = lpn_base
         self.flushes = 0
         self.compactions = 0
+        #: Flushes and compactions a NAND program fault put off.
+        self.deferred_flushes = 0
+        self.deferred_compactions = 0
 
     # ------------------------------------------------------------------
     # write path
@@ -128,27 +132,56 @@ class LsmIndex:
             self.flush_memtable()
 
     def flush_memtable(self) -> None:
+        """Persist the memtable as an L0 table, then publish it.
+
+        A NAND program fault defers the flush (counted in
+        ``deferred_flushes``): the memtable keeps every mapping, so
+        scans still see them, and the next write retries the flush.  A
+        fault in the compaction a flush triggers is deferred the same
+        way.
+        """
         if not self._memtable:
             return
         memtable = self._memtable
         keys = sorted(memtable)
         table = SsTable(keys, [memtable[k] for k in keys])
+        try:
+            self._persist(table)
+        except NandError:
+            self.deferred_flushes += 1
+            return
         memtable.clear()
-        self._persist(table)
         self.levels[0].append(table)
         self.flushes += 1
         if len(self.levels[0]) > self.l0_tables:
-            self._compact(0)
+            try:
+                self._compact(0)
+            except NandError:
+                # A failed compaction publishes nothing; the next flush
+                # retries it.
+                self.deferred_compactions += 1
 
     def _persist(self, table: SsTable) -> SsTable:
-        """Write the table's serialised form to NAND pages via the FTL."""
+        """Write the table's serialised form to NAND pages via the FTL.
+
+        On a :class:`NandError` the pages already written are trimmed
+        and their LPNs handed back before the error propagates; the
+        caller does not publish the table.
+        """
         raw = _serialize_run(table.keys, table.ptrs)
         page_bytes = self.ftl.nand.geometry.page_bytes
-        for off in range(0, len(raw), page_bytes):
-            lpn = self._next_lpn
-            self._next_lpn += 1
-            self.ftl.write(lpn, raw[off:off + page_bytes])
-            table.lpns.append(lpn)
+        first_lpn = self._next_lpn
+        try:
+            for off in range(0, len(raw), page_bytes):
+                lpn = self._next_lpn
+                self._next_lpn += 1
+                self.ftl.write(lpn, raw[off:off + page_bytes])
+                table.lpns.append(lpn)
+        except NandError:
+            for lpn in table.lpns:
+                self.ftl.trim(lpn)
+            self._next_lpn = first_lpn
+            raise
         return table
 
     def _compact(self, level: int) -> None:
@@ -166,10 +199,11 @@ class LsmIndex:
             keys = sorted(k for k, p in merged.items() if p != TOMBSTONE)
         else:
             keys = sorted(merged)
+        # Persist, then publish: a fault leaves both levels in place.
+        run = ([self._persist(SsTable(keys, [merged[k] for k in keys]))]
+               if keys else [])
         self.levels[level] = []
-        self.levels[level + 1] = (
-            [self._persist(SsTable(keys, [merged[k] for k in keys]))]
-            if keys else [])
+        self.levels[level + 1] = run
         self.compactions += 1
         # Cascade when the level run grows beyond the size ratio.
         limit = self.memtable_entries * (self.level_ratio ** (level + 1))

@@ -9,7 +9,7 @@ from repro.kvssd.lsm import LsmIndex, SsTable
 from repro.kvssd.value_log import LogPointer
 from repro.sim.clock import SimClock
 from repro.sim.config import TimingModel
-from repro.ssd.ftl import PageMappingFtl
+from repro.ssd.ftl import FtlError, PageMappingFtl
 from repro.ssd.nand import NandArray, NandGeometry
 from repro.testbed import make_kv_testbed
 
@@ -107,6 +107,30 @@ def test_scan_empty_range():
 def test_sstable_requires_sorted_entries():
     with pytest.raises(ValueError):
         SsTable([b"b", b"a"], [_ptr(1), _ptr(2)])
+
+
+def test_flush_fault_trims_written_pages_and_keeps_the_memtable():
+    idx = _index(memtable_entries=200)
+    ftl, nand = idx.ftl, idx.ftl.nand
+    for i in range(199):
+        idx.put(b"key%05d" % i, _ptr(i))
+    # The flush programs three pages on consecutive dies: fail the second.
+    nand.inject_program_failures((ftl._next_die + 1) % nand.geometry.dies,
+                                 count=1)
+    writes = ftl.host_writes
+    idx.put(b"key00199", _ptr(199))
+
+    assert (idx.flushes, idx.deferred_flushes) == (0, 1)
+    assert idx.memtable_size == 200 and idx.levels == [[]]
+    assert ftl.host_writes == writes + 1
+    with pytest.raises(FtlError):  # the page that was written is trimmed
+        ftl.peek(idx.lpn_base)
+    assert [k for k, _p in idx.scan(b"\x00", b"\xff")] == [
+        b"key%05d" % i for i in range(200)]
+    # The retry reuses the LPNs the failed flush handed back.
+    idx.put(b"key00200", _ptr(200))
+    assert idx.flushes == 1 and idx.memtable_size == 0
+    assert idx.levels[0][0].lpns == [idx.lpn_base + n for n in range(3)]
 
 
 def test_empty_key_rejected():

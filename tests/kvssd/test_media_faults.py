@@ -1,6 +1,6 @@
 """KV commands under NAND program faults: a failed command reports
 MEDIA_WRITE_FAULT and leaves the key as it was; a fault in value-log GC
-fails no command."""
+or in an index flush or compaction fails no command."""
 
 import random
 
@@ -129,3 +129,61 @@ def test_gc_program_fault_does_not_fail_the_store():
     assert kv.crash_and_recover() == len(model)
     for key, value in model.items():
         assert kv.peek(key) == value, key
+
+
+def test_memtable_flush_under_program_fault_is_deferred():
+    """A NAND program fault in the memtable flush fails no STORE and
+    drops no mapping: the flush is deferred with the memtable intact,
+    and the next PUT retries it."""
+    tb = make_kv_testbed(memtable_entries=4)
+    store = KVStore(tb.driver, tb.method("byteexpress"))
+    kv = tb.personality
+    model = {b"key%05d" % i: bytes([65 + i]) * 100 for i in range(5)}
+    keys = sorted(model)
+    for key in keys[:3]:
+        store.put(key, model[key])
+    # The flush's first SSTable page lands on the next die.
+    tb.ssd.nand.inject_program_failures(tb.ssd.ftl._next_die, count=1)
+    assert store.put(keys[3], model[keys[3]]).status == StatusCode.SUCCESS
+
+    assert kv.index.deferred_flushes == 1
+    assert kv.index.flushes == 0
+    assert [k for k, _ptr in kv.index.scan(b"\x00", b"\xff")] == keys[:4]
+    assert store.list_keys() == keys[:4]
+    # The next PUT retries the flush, which now succeeds.
+    store.put(keys[4], model[keys[4]])
+    assert kv.index.flushes == 1 and kv.index.memtable_size == 0
+    assert store.list_keys() == keys
+    assert kv.crash_and_recover() == len(model)
+    assert store.list_keys() == keys
+    for key, value in model.items():
+        assert store.get(key) == value, key
+
+
+def test_compaction_under_program_fault_is_deferred():
+    """A program fault in the compaction a flush triggers leaves both
+    levels in place; the next flush compacts."""
+    tb = make_kv_testbed(memtable_entries=4)
+    store = KVStore(tb.driver, tb.method("byteexpress"))
+    index = tb.personality.index
+    keys = [b"key%05d" % i for i in range(24)]
+    for key in keys[:19]:
+        store.put(key, key)
+    assert (index.flushes, index.compactions) == (4, 0)
+    # The next flush programs one page on the next die; the compaction
+    # it triggers programs the die after that.
+    dies = tb.ssd.nand.geometry.dies
+    tb.ssd.nand.inject_program_failures((tb.ssd.ftl._next_die + 1) % dies,
+                                        count=1)
+    store.put(keys[19], keys[19])
+
+    assert (index.flushes, index.compactions) == (5, 0)
+    assert index.deferred_compactions == 1
+    assert store.list_keys() == keys[:20]
+    for key in keys[20:]:
+        store.put(key, key)
+    assert index.flushes == 6 and index.compactions > 0
+    assert not index.levels[0]
+    assert store.list_keys() == keys
+    assert tb.personality.crash_and_recover() == len(keys)
+    assert store.list_keys() == keys
