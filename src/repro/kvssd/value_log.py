@@ -20,6 +20,8 @@ from repro.ssd.dram import DeviceDram, DramRegion
 from repro.ssd.ftl import PageMappingFtl
 
 _ENTRY_HEADER = struct.Struct("<HI")
+_HEADER_BYTES = _ENTRY_HEADER.size
+_pack_header = _ENTRY_HEADER.pack
 #: High bit of key_len marks a durable tombstone record.
 _TOMBSTONE_FLAG = 0x8000
 #: Maximum key length once the flag bit is reserved.
@@ -38,6 +40,11 @@ class LogPointer(NamedTuple):
     length: int       # total entry length (header + key + value)
 
 
+#: ``_new_pointer(LogPointer, (segment, offset, length))`` builds a
+#: pointer without the Python-level ``LogPointer.__new__`` frame.
+_new_pointer = tuple.__new__
+
+
 class ValueLog:
     """Append-only, segment-buffered value log."""
 
@@ -49,6 +56,9 @@ class ValueLog:
         self.lpn_base = lpn_base
         self._buffer: DramRegion = dram.carve("kv.value_log",
                                               self.segment_bytes)
+        #: A view of the region's bytes, which restore and scrub rewrite
+        #: in place.  Slice assignment through it never resizes them.
+        self._bytes = memoryview(self._buffer._data)
         self._segment = 0
         self._offset = 0
         #: Flushed segments are reachable through the FTL; the active
@@ -72,27 +82,35 @@ class ValueLog:
         bit set in the key length) so crash recovery replays deletes.
         """
         key_len = len(key)
+        value_len = len(value)
         if not key_len:
             raise ValueError("empty key")
         if key_len > MAX_LOG_KEY:
             raise ValueError(f"key exceeds {MAX_LOG_KEY} bytes")
-        if tombstone and value:
+        if tombstone and value_len:
             raise ValueError("tombstones carry no value")
-        size = _ENTRY_HEADER.size + key_len + len(value)
-        if size > self.segment_bytes:
+        size = _HEADER_BYTES + key_len + value_len
+        segment_bytes = self.segment_bytes
+        if size > segment_bytes:
             raise ValueError(
-                f"entry of {size} B exceeds segment size {self.segment_bytes}")
-        if self._offset + size > self.segment_bytes:
+                f"entry of {size} B exceeds segment size {segment_bytes}")
+        offset = self._offset
+        if offset + size > segment_bytes:
             self.flush()
-        segment, offset = self._segment, self._offset
-        key_field = (key_len | _TOMBSTONE_FLAG) if tombstone else key_len
-        self._buffer.write(
-            offset, _ENTRY_HEADER.pack(key_field, len(value)) + key + value)
-        self._offset = offset + size
+            offset = self._offset
+        end = offset + size
+        # The buffer region is exactly segment_bytes long, so the check
+        # above (end <= segment_bytes) is its bounds check: write the
+        # region's bytes directly.
+        self._bytes[offset:end] = _pack_header(
+            (key_len | _TOMBSTONE_FLAG) if tombstone else key_len,
+            value_len) + key + value
+        self._offset = end
+        segment = self._segment
         live = self._live
         live[segment] = live.get(segment, 0) + size
         self.appends += 1
-        return LogPointer(segment, offset, size)
+        return _new_pointer(LogPointer, (segment, offset, size))
 
     def flush(self) -> None:
         """Persist the active segment to NAND (pipelined program)."""
@@ -146,8 +164,9 @@ class ValueLog:
             self, segment: int) -> Iterator[Tuple[LogPointer, bytes, bool]]:
         """Replay iterator over one flushed segment: yields
         ``(ptr, key, is_tombstone)`` per record, in log order."""
-        return self._records(segment,
-                             self.ftl.read(self.lpn_base + segment))
+        page = self.ftl.read(self.lpn_base + segment)
+        for offset, size, key, is_tomb in self._records(segment, page):
+            yield LogPointer(segment, offset, size), key, is_tomb
 
     # ------------------------------------------------------------------
     # persistence (repro.durability)
@@ -217,12 +236,13 @@ class ValueLog:
         return total
 
     def _records(self, segment: int,
-                 page: bytes) -> Iterator[Tuple[LogPointer, bytes, bool]]:
+                 page: bytes) -> Iterator[Tuple[int, int, bytes, bool]]:
         """Walk the records of flushed *segment*, whose page is *page*.
 
-        Yields ``(ptr, key, is_tombstone)``; a record's value is
-        ``page[ptr.offset + header + len(key):ptr.offset + ptr.length]``
-        and is left for the caller to copy if it needs it.
+        Yields ``(offset, size, key, is_tombstone)`` per record, in log
+        order: the record's pointer is ``(segment, offset, size)`` and
+        its value is ``page[offset + header + len(key):offset + size]``,
+        left for the caller to copy if it needs it.
         """
         used = self._used[segment]
         header = _ENTRY_HEADER.size
@@ -235,8 +255,7 @@ class ValueLog:
             key_len = key_field & ~_TOMBSTONE_FLAG
             size = header + key_len + value_len
             start = offset + header
-            yield (LogPointer(segment, offset, size),
-                   page[start:start + key_len],
+            yield (offset, size, page[start:start + key_len],
                    key_field >= _TOMBSTONE_FLAG)
             offset += size
 
@@ -255,34 +274,39 @@ class ValueLog:
         pass: the victim stays, and each entry already relocated has
         come off its live count, so its dead space stays right.
         """
-        candidates = [seg for seg in self._flushed
-                      if self._used.get(seg, 0) > self._live.get(seg, 0)]
-        if not candidates:
+        used = self._used
+        live = self._live
+        victim, most_dead = None, 0
+        for seg in self._flushed:
+            dead = used.get(seg, 0) - live.get(seg, 0)
+            if dead > most_dead:
+                victim, most_dead = seg, dead
+        if victim is None:
             return False
-        victim = max(candidates,
-                     key=lambda s: self._used[s] - self._live.get(s, 0))
         # The victim page is read once, before the first relocation, and
         # relocations only append to the active segment.
         page = self.ftl.read(self.lpn_base + victim)
-        header = _ENTRY_HEADER.size
-        for ptr, key, is_tomb in self._records(victim, page):
+        append = self.append
+        for offset, size, key, is_tomb in self._records(victim, page):
             current = lookup(key)
             if is_tomb:
                 if current is not None:
                     continue
-                self.append(key, b"", tombstone=True)
-            elif current == ptr:
-                start = ptr.offset + header + len(key)
-                new_ptr = self.append(
-                    key, page[start:ptr.offset + ptr.length])
-                self.mark_dead(ptr)
+                append(key, b"", True)
+            elif current == (victim, offset, size):
+                # A plain tuple equals the LogPointer the index holds.
+                new_ptr = append(key, page[offset + _HEADER_BYTES + len(key):
+                                           offset + size])
+                # mark_dead, inline: the victim's live bytes, clamped at 0.
+                left = live.get(victim, 0) - size
+                live[victim] = left if left > 0 else 0
                 relocate(key, new_ptr)
             else:
                 continue
             self.gc_relocated += 1
         self.ftl.trim(self.lpn_base + victim)
         del self._flushed[victim]
-        self._used.pop(victim, None)
-        self._live.pop(victim, None)
+        used.pop(victim, None)
+        live.pop(victim, None)
         self.gc_runs += 1
         return True

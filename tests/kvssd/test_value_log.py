@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kvssd.value_log import ValueLog
+from repro.kvssd.value_log import MAX_LOG_KEY, ValueLog
 from repro.sim.clock import SimClock
 from repro.sim.config import TimingModel
 from repro.ssd.dram import DeviceDram
@@ -73,3 +73,72 @@ def test_appends_counted():
     vlog.append(b"a", b"1")
     vlog.append(b"b", b"2")
     assert vlog.appends == 2
+
+
+@pytest.mark.parametrize("key, value, tombstone", [
+    (b"", b"v", False),
+    (b"k" * (MAX_LOG_KEY + 1), b"", False),
+    (b"k", b"v", True),
+    (b"k", b"v" * 512, False),
+], ids=["empty-key", "long-key", "tombstone-with-value", "oversize"])
+def test_rejected_append_changes_nothing(key, value, tombstone):
+    vlog = _vlog(segment_bytes=512)
+    vlog.append(b"a", b"1" * 40)
+    before = (vlog.active_bytes, vlog.snapshot()["live"], vlog.appends,
+              vlog.snapshot()["buffer"])
+    with pytest.raises(ValueError):
+        vlog.append(key, value, tombstone=tombstone)
+    assert (vlog.active_bytes, vlog.snapshot()["live"], vlog.appends,
+            vlog.snapshot()["buffer"]) == before
+
+
+def test_collect_copies_live_records_verbatim_in_victim_order():
+    vlog = _vlog()
+    index = {}
+
+    def put(key, value):
+        old = index.get(key)
+        index[key] = vlog.append(key, value)
+        if old is not None:
+            vlog.mark_dead(old)
+
+    put(b"a", b"1" * 40)
+    put(b"b", b"2" * 40)
+    put(b"c", b"3" * 40)
+    # Delete b: a durable tombstone, dead on arrival.
+    vlog.mark_dead(index.pop(b"b"))
+    vlog.mark_dead(vlog.append(b"b", b"", tombstone=True))
+    put(b"d", b"4" * 40)
+    put(b"a", b"5" * 40)
+    vlog.flush()
+    page = vlog.ftl.peek(0)
+    # Live: c, b's tombstone (b is deleted), d and the newer a.
+    survivors = [ptr for ptr, key, tomb in vlog.parse_segment(0)
+                 if (key not in index if tomb else index.get(key) == ptr)]
+    assert [vlog.peek(ptr)[0] for ptr in survivors] == [b"c", b"b", b"d",
+                                                         b"a"]
+    moved = []
+
+    def relocate(key, ptr):
+        moved.append(ptr)
+        index[key] = ptr
+
+    assert vlog.collect(index.get, relocate)
+    assert vlog.gc_relocated == len(survivors)
+    assert 0 not in vlog.flushed_segments
+    buffer = vlog.snapshot()["buffer"]
+    assert len(buffer) == vlog.segment_bytes
+    offset = 0
+    expected = []
+    for ptr in survivors:
+        # Header (tombstone flag included), key and value, byte for byte.
+        assert (buffer[offset:offset + ptr.length]
+                == page[ptr.offset:ptr.offset + ptr.length])
+        if not page[ptr.offset + 1] & 0x80:
+            expected.append((1, offset, ptr.length))
+        offset += ptr.length
+    assert vlog.active_bytes == offset
+    # Relocated pointers are contiguous around the tombstone, in order.
+    assert moved == expected
+    for key in (b"a", b"c", b"d"):
+        assert vlog.read(index[key])[0] == key
