@@ -581,32 +581,6 @@ class NvmeController:
                                    self.qos.take_wait_ns()))
         return done
 
-    #: Backwards-compatible alias (pre-engine name).
-    _poll_once = poll_once
-
-    # ------------------------------------------------------------------
-    # command fetch — delegates into the fetch unit (``self.fetch``)
-    # ------------------------------------------------------------------
-    def _fetch_sqe(self, state: DeviceSqState) -> bytes:
-        """Delegate to the fetch unit (see ``FetchUnit.fetch_sqe``)."""
-        return self.fetch.fetch_sqe(state)
-
-    def _resync_sq(self, qid: int) -> None:
-        """Delegate to the fetch unit (see ``FetchUnit.resync_sq``)."""
-        self.fetch.resync_sq(qid)
-
-    def _service_queue(self, qid: int) -> int:
-        """Delegate to the fetch unit (see ``FetchUnit.service_queue``)."""
-        return self.fetch.service_queue(qid)
-
-    def _fetch_and_execute(self, qid: int, window=None) -> None:
-        """Delegate to the fetch unit (see ``FetchUnit.fetch_and_execute``)."""
-        self.fetch.fetch_and_execute(qid, window=window)
-
-    def _fetch_tagged_chunk(self, qid: int) -> None:
-        """Delegate to the fetch unit (see ``FetchUnit.fetch_tagged_chunk``)."""
-        self.fetch.fetch_tagged_chunk(qid)
-
     # ------------------------------------------------------------------
     # data movement — delegated to the datapath decoders
     # ------------------------------------------------------------------
@@ -689,10 +663,6 @@ class NvmeController:
         through this name so such patches see the whole completion flow.
         """
         self.completion.complete(qid, cmd, result)
-
-    def _flush_cq(self, cq_qid: int) -> None:
-        """Delegate to the completion unit (see ``CompletionUnit.flush_cq``)."""
-        self.completion.flush_cq(cq_qid)
 
     def flush_completions(self) -> None:
         """Flush every CQ's buffered completion batch (idle transition,
